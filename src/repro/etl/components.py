@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import ETLError
-from repro.expr.ast import Expression, Identifier
+from repro.expr.ast import Expression
 from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
 from repro.multiclass.classifier import Classifier
@@ -229,64 +229,23 @@ class Classify(Component):
 
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(1, inputs)
+        kernel = self.classifier.compile(self.domain)
         out = []
         for row in inputs[0]:
             extended = dict(row)
-            extended[self.column] = self.classifier.classify(row, self.domain)
+            extended[self.column] = kernel(row)
             out.append(extended)
         return out
 
     def open_stream(self) -> StreamOp:
-        # Hoist the per-rule closure lookups out of the row loop; the loop
-        # below replicates Classifier.explain exactly (first satisfied
-        # guard wins, domain check only on a fired rule, no rule -> NULL).
-        rules = [
-            (compile_predicate(rule.guard), compile_expression(rule.output))
-            for rule in self.classifier.rules
-        ]
+        # One kernel (and so one memo) per run, shared by every chunk.
+        kernel = self.classifier.compile(self.domain)
         column = self.column
-        domain = self.domain
-
-        def classify_row(row: Row) -> object:
-            for guard, output in rules:
-                if guard(row):
-                    value = output(row)
-                    if domain is not None:
-                        value = domain.check(value)
-                    return value
-            return None
-
-        # Classification is a pure function of the columns the rules read,
-        # and clinical rows cluster into few distinct value combinations —
-        # memoize per combination.  Only rows carrying every referenced name
-        # directly qualify (missing names trigger the evaluator's dotted
-        # suffix fallback, which this key cannot see); those rows, and rows
-        # with unhashable values, fall back to direct evaluation.
-        names = sorted(
-            {
-                node.name
-                for rule in self.classifier.rules
-                for expr in (rule.guard, rule.output)
-                for node in expr.walk()
-                if isinstance(node, Identifier)
-            }
-        )
-        cache: dict[tuple, object] = {}
-        missing = cache  # unique sentinel
 
         def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
             chunk = _owned(chunk, owned)
             for row in chunk:
-                try:
-                    key = tuple(row[name] for name in names)
-                    value = cache.get(key, missing)
-                    if value is missing:
-                        value = classify_row(row)
-                        if len(cache) < 65536:
-                            cache[key] = value
-                except (KeyError, TypeError):
-                    value = classify_row(row)
-                row[column] = value
+                row[column] = kernel(row)
             return chunk, True
 
         return StreamOp(transform)

@@ -9,6 +9,8 @@ is a Boolean condition.  Both clauses use nodes in a g-tree as arguments."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from repro.errors import ClassifierError
 from repro.expr.analysis import is_union_of_conjunctions, referenced_identifiers
@@ -20,6 +22,17 @@ from repro.multiclass.domain import Domain
 from repro.util.annotations import Annotated
 
 Environment = dict[str, object]
+
+#: A compiled classifier: one record's node values in, its value out.
+RowKernel = Callable[[Environment], object]
+
+#: Distinct input combinations one kernel remembers.  Clinical inputs
+#: cluster into a handful of combinations per classifier; the bound only
+#: caps memory on adversarial (e.g. free-text) inputs, past which rows
+#: evaluate directly.
+_MEMO_LIMIT = 4096
+
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -38,6 +51,13 @@ class Rule:
 
     def to_source(self) -> str:
         return f"{self.output.to_source()} <- {self.guard.to_source()}"
+
+    @cached_property
+    def inputs(self) -> frozenset[str]:
+        """Identifier names the rule reads, dotted as written."""
+        return frozenset(
+            referenced_identifiers(self.guard) | referenced_identifiers(self.output)
+        )
 
 
 @dataclass
@@ -84,15 +104,58 @@ class Classifier(Annotated):
                 return value, index
         return None, None
 
+    def compile(self, domain: Domain | None = None) -> RowKernel:
+        """A row kernel computing :meth:`classify` with ``domain``.
+
+        Built once per run: the rules' compiled closures and the domain
+        check are resolved here, not per record.  Classification is a pure
+        function of the nodes the rules reference, so the kernel memoizes
+        each distinct input combination.  The memo key holds every value
+        with its exact type (``True``, ``1`` and ``1.0`` stay apart; a
+        float zero is keyed by its repr, so ``-0.0`` and ``0.0`` stay apart
+        too).  A record qualifies only when it carries every referenced
+        name directly and all those values are hashable; any other record
+        (a dotted name resolved by suffix, an unhashable value) evaluates
+        directly.  Errors are never memoized: every offending record
+        raises exactly what :meth:`classify` raises for it.
+        """
+        rules = [
+            (compile_predicate(rule.guard), compile_expression(rule.output))
+            for rule in self.rules
+        ]
+        check = domain.check if domain is not None else None
+
+        def evaluate(env: Environment) -> object:
+            for guard, output in rules:
+                if guard(env):
+                    value = output(env)
+                    return value if check is None else check(value)
+            return None
+
+        key_of = _memo_key(tuple(frozenset().union(*[r.inputs for r in self.rules])))
+        memo: dict[object, object] = {}
+
+        def kernel(env: Environment) -> object:
+            try:
+                key = key_of(env)
+                value = memo.get(key, _MISS)
+            except (KeyError, TypeError):
+                # A name the row lacks (suffix resolution) or an
+                # unhashable value: the memo cannot see this row.
+                return evaluate(env)
+            if value is _MISS:
+                value = evaluate(env)
+                if len(memo) < _MEMO_LIMIT:
+                    memo[key] = value
+            return value
+
+        return kernel
+
     # -- static analysis ----------------------------------------------------------
 
     def input_nodes(self) -> set[str]:
         """G-tree node names this classifier reads (for versioning)."""
-        names: set[str] = set()
-        for rule in self.rules:
-            names |= referenced_identifiers(rule.guard)
-            names |= referenced_identifiers(rule.output)
-        return {name.split(".")[-1] for name in names}
+        return {name.split(".")[-1] for rule in self.rules for name in rule.inputs}
 
     def validate_against(self, gtree: GTree) -> list[str]:
         """Node references absent from ``gtree`` (empty list = valid)."""
@@ -119,6 +182,35 @@ class Classifier(Annotated):
             f"Classifier({self.name!r} -> {self.target_entity}."
             f"{self.target_attribute}:{self.target_domain}, {len(self.rules)} rules)"
         )
+
+
+def _memo_key(names: tuple[str, ...]) -> Callable[[Environment], object]:
+    """Key builder over ``names``: each value paired with its exact type.
+
+    Raises ``KeyError`` when a name is absent from the row; the caller
+    treats that (and an unhashable key) as "evaluate directly".
+    """
+    if len(names) == 1:
+        (name,) = names
+
+        def single(env: Environment) -> object:
+            value = env[name]
+            kind = type(value)
+            if kind is float and not value:
+                return kind, repr(value)
+            return kind, value
+
+        return single
+
+    def several(env: Environment) -> object:
+        key: tuple[object, ...] = ()
+        for name in names:
+            value = env[name]
+            kind = type(value)
+            key += (kind, repr(value) if kind is float and not value else value)
+        return key
+
+    return several
 
 
 @dataclass

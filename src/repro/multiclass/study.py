@@ -26,7 +26,7 @@ from repro.expr.evaluator import Evaluator
 from repro.expr.parser import parse
 from repro.guava.query import GTreeQuery
 from repro.guava.source import GuavaSource
-from repro.multiclass.classifier import Classifier, EntityClassifier
+from repro.multiclass.classifier import Classifier, EntityClassifier, RowKernel
 from repro.multiclass.cleaning import CleaningRule, Quarantine, apply_rules
 from repro.multiclass.study_schema import StudySchema
 from repro.ui.form import RECORD_ID
@@ -207,26 +207,29 @@ class Study(Annotated):
                 "record",
                 quarantine,
             )
+        if not records:
+            return []
+        # One (column, kernel) per element, resolved before the record
+        # loop.  A missing classifier still raises only once a record needs
+        # it, at its element's position in the row.
+        plan: list[tuple[str, RowKernel]] = []
+        for element in self.elements_of(entity):
+            _, attribute, domain_name = element
+            classifier = binding.classifiers.get(element)
+            if classifier is None:
+                kernel = _missing_classifier(binding.source.name, element)
+            else:
+                kernel = classifier.compile(self.schema.domain_of(*element))
+            plan.append((element_column(attribute, domain_name), kernel))
+        source_name = binding.source.name
+        parent_link = ec.parent_link
         out: list[Row] = []
         for record in records:
-            row: Row = {
-                RECORD_ID: record[RECORD_ID],
-                "source": binding.source.name,
-            }
-            if ec.parent_link is not None:
-                row[PARENT_RECORD_ID] = record.get(ec.parent_link)
-            for element in self.elements_of(entity):
-                _, attribute, domain_name = element
-                classifier = binding.classifiers.get(element)
-                if classifier is None:
-                    raise StudyError(
-                        f"source {binding.source.name!r} has no classifier for "
-                        f"{element}"
-                    )
-                domain = self.schema.domain_of(*element)
-                row[element_column(attribute, domain_name)] = classifier.classify(
-                    record, domain
-                )
+            row: Row = {RECORD_ID: record[RECORD_ID], "source": source_name}
+            if parent_link is not None:
+                row[PARENT_RECORD_ID] = record.get(parent_link)
+            for column, kernel in plan:
+                row[column] = kernel(record)
             out.append(row)
         return out
 
@@ -254,6 +257,17 @@ class Study(Annotated):
         return bool(classifiers) and all(
             ec.parent_link is not None for ec in classifiers
         )
+
+
+def _missing_classifier(source_name: str, element: Element) -> RowKernel:
+    """A kernel raising the binding gap it stands for, record by record."""
+
+    def kernel(record: Row) -> object:
+        raise StudyError(
+            f"source {source_name!r} has no classifier for {element}"
+        )
+
+    return kernel
 
 
 @dataclass

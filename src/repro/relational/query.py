@@ -265,7 +265,11 @@ def _vectorize_tree(plan: Plan, db: Database, ctx: _OptContext) -> Plan:
     """
     if isinstance(plan, Vectorized):
         return plan
-    if fully_vectorizable(plan) and estimated_input_rows(plan, db) >= VECTORIZE_MIN_ROWS:
+    if fully_vectorizable(plan):
+        # Every subtree is then fully vectorizable too, over no more base
+        # rows, so below the threshold none of them qualifies either.
+        if estimated_input_rows(plan, db) < VECTORIZE_MIN_ROWS:
+            return plan
         ctx.note("vectorize", root=type(plan).__name__)
         return Vectorized(plan)
     children = tuple(_vectorize_tree(child, db, ctx) for child in plan.children())

@@ -20,12 +20,14 @@ Parity is by construction where it matters:
   :func:`~repro.relational.algebra.canonical_key`, and aggregate results
   through the shared ``_aggregate_values`` finalizer.
 
-Operators without a kernel (Pivot, Unpivot, Coerce) and the index probes
-(IndexLookup, InLookup) fall back per-subtree to the streaming executor;
-their rows are packed into batches at the boundary.  One intended
-divergence: when a plan raises, the batch path may surface the error from
-a different row than the row path (column-major vs row-major evaluation
-order), so only the exception *type* is comparable across executors.
+Operators without a kernel (Unpivot) and the index probes (IndexLookup,
+InLookup) fall back per-subtree to the streaming executor; their rows are
+packed into batches at the boundary.  One intended divergence: when a plan
+raises, the batch path may surface the error from a different row than
+the row path (column-major vs row-major evaluation order), so only the
+exception *type* is comparable across executors.  ``Coerce`` is the
+exception to the exception: its kernel raises the row path's error for the
+first bad value in row order, then column order.
 
 Obs hooks carry over: under a tracer every kernel's span records
 ``rows_out``, ``batches``, ``rows_per_batch``, and wall time, so
@@ -38,11 +40,12 @@ import heapq
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from datetime import date, datetime
 from itertools import islice
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from repro.errors import EvaluationError, QueryError
+from repro.errors import EvaluationError, QueryError, TypeMismatchError
 from repro.expr.ast import (
     BinaryOp,
     Expression,
@@ -70,6 +73,7 @@ from repro.expr.evaluator import (
 from repro.expr.functions import default_registry
 from repro.relational.algebra import (
     Aggregate,
+    Coerce,
     Compute,
     Distinct,
     ExecContext,
@@ -78,6 +82,7 @@ from repro.relational.algebra import (
     Join,
     Limit,
     PartitionScan,
+    Pivot,
     Plan,
     Project,
     Rename,
@@ -102,6 +107,7 @@ from repro.relational.stats import (
     encoded_columns,
     statistics_enabled,
 )
+from repro.relational.types import DataType
 
 #: Estimated input rows below which the planner leaves a subtree on the
 #: row-at-a-time path: batch setup overhead only pays off with volume.
@@ -1318,6 +1324,173 @@ def _limit_batches(plan: Limit, ctx: ExecContext) -> Iterator[Batch]:
             return
 
 
+def _pivot_batches(plan: Pivot, ctx: ExecContext) -> Iterator[Batch]:
+    """EAV → wide in one pass, with the streaming fold's semantics.
+
+    Keys group by plain dict equality in first-seen order, a duplicated
+    (key, attribute) keeps its last value, and only ``str`` attribute
+    values naming a declared attribute count.  The fold writes into one
+    value list per key; the output columns are its transpose.
+    """
+    key_columns = plan.key_columns
+    attributes = plan.attributes
+    slot_of: dict[object, int] = {name: slot for slot, name in enumerate(attributes)}
+    width = len(attributes)
+    grouped: dict[object, list[object]] = {}
+    for batch in _node_batches(plan.child, ctx):
+        keys: Sequence[object]
+        if len(key_columns) == 1:
+            keys = _gather(batch, key_columns[0])
+        elif key_columns:
+            keys = list(zip(*(_gather(batch, column) for column in key_columns)))
+        else:
+            keys = [()] * batch.length
+        slots = _pivot_slots(batch, plan.attribute_column, slot_of)
+        values = _gather(batch, plan.value_column)
+        get = grouped.get
+        for key, slot, value in zip(keys, slots, values):
+            base = get(key)
+            if base is None:
+                base = grouped[key] = [None] * width
+            if slot is not None:
+                base[slot] = value
+    if not grouped:
+        return
+    data: dict[str, list[object]] = {}
+    if len(key_columns) == 1:
+        data[key_columns[0]] = list(grouped)
+    elif key_columns:
+        for column, values in zip(key_columns, zip(*grouped)):
+            data[column] = list(values)
+    # Attribute columns win a name clash with a key column, as the row
+    # fold's blank template overwrites the key it was seeded with.
+    for name, values in zip(attributes, zip(*grouped.values())):
+        data[name] = list(values)
+    yield Batch(ctx.columns(plan), data, len(grouped))
+
+
+def _pivot_slots(
+    batch: Batch, attribute_column: str, slot_of: dict[object, int]
+) -> list[int | None]:
+    """Each row's attribute slot (None: not a declared attribute)."""
+    entry = batch.codes(attribute_column)
+    if entry is not None:
+        dictionary, codes = entry
+        by_code = [slot_of.get(value) for value in dictionary.values]  # type: ignore[attr-defined]
+        return [None if code is None else by_code[code] for code in codes]
+    names = _gather(batch, attribute_column)
+    if set(map(type, names)) <= _STR_OR_NULL:
+        return list(map(slot_of.get, names))
+    # Non-str values never name an attribute; the isinstance guard also
+    # keeps unhashable ones away from the dict.
+    return [slot_of.get(name) if isinstance(name, str) else None for name in names]
+
+
+_STR_OR_NULL = frozenset((str, type(None)))
+_MISS = object()
+
+#: Value types each declared type converts to themselves: a column holding
+#: only these passes through :class:`Coerce` as the same list.
+_COERCE_IDENTITY = {
+    DataType.INTEGER: frozenset((int, type(None))),
+    DataType.FLOAT: frozenset((float, type(None))),
+    DataType.TEXT: frozenset((str, type(None))),
+    DataType.BOOLEAN: frozenset((bool, type(None))),
+    DataType.DATE: frozenset((date, type(None))),
+}
+
+#: Types whose plain equality is exact within one type, so a column of a
+#: single one of them (plus NULL) can key its conversions on raw values.
+#: ``float`` is left out: ``-0.0 == 0.0`` yet they convert differently.
+_RAW_KEY_TYPES = frozenset((str, int, bool, date, datetime))
+
+#: Conversions one Coerce column remembers across batches.
+_COERCE_MEMO_LIMIT = 4096
+
+
+def _coerce_batches(plan: Coerce, ctx: ExecContext) -> Iterator[Batch]:
+    """Coerce columns batch-wise, converting each distinct value once.
+
+    A failing batch raises the row path's error: the first bad value in
+    row order, then in ``column_types`` order.  A conversion only has to be
+    exact for rows before the earliest failure found so far, so a column
+    listed twice may carry placeholders past it into its second pass.
+    """
+    columns = ctx.columns(plan.child)
+    present = set(columns)
+    converters: list[tuple[str, DataType, dict[tuple[type, object], object]]] = [
+        (column, dtype, {}) for column, dtype in plan.column_types if column in present
+    ]
+    for batch in _node_batches(plan.child, ctx):
+        data = batch.materialize()
+        limit = batch.length
+        failure: TypeMismatchError | None = None
+        for column, dtype, memo in converters:
+            converted, bad, error = _coerce_column(data[column], dtype, memo)
+            if bad is not None and bad < limit:
+                limit, failure = bad, error
+            data[column] = converted
+        if failure is not None:
+            raise failure
+        yield Batch(columns, data, batch.length)
+
+
+def _coerce_column(
+    values: list[object], dtype: DataType, memo: dict[tuple[type, object], object]
+) -> tuple[list[object], int | None, TypeMismatchError | None]:
+    """(converted values, first failing row or None, its error).
+
+    ``memo`` maps an exact (type, value) key to its conversion and lives
+    for one execution of the plan.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _COERCE_IDENTITY[dtype]:
+        return values, None, None
+    coerce = dtype.coerce
+    kinds.discard(type(None))
+    if len(kinds) == 1 and kinds <= _RAW_KEY_TYPES:
+        # One exact type (plus NULL): convert each distinct value once.
+        mapping: dict[object, object] = {}
+        errors: dict[object, TypeMismatchError] = {}
+        for value in set(values):
+            key = (type(value), value)
+            result = memo.get(key, _MISS)
+            if result is _MISS:
+                try:
+                    result = coerce(value)
+                except TypeMismatchError as exc:
+                    errors[value] = exc
+                    continue
+                if len(memo) < _COERCE_MEMO_LIMIT:
+                    memo[key] = result
+            mapping[value] = result
+        if not errors:
+            return list(map(mapping.__getitem__, values)), None, None
+        index = next(i for i, value in enumerate(values) if value in errors)
+        return [mapping.get(value) for value in values], index, errors[values[index]]
+    converted: list[object] = []
+    append = converted.append
+    for index, value in enumerate(values):
+        kind = type(value)
+        try:
+            key: tuple[type, object] | None = (
+                kind,
+                repr(value) if kind is float and not value else value,
+            )
+            result = memo.get(key, _MISS)
+        except TypeError:  # unhashable: convert directly
+            key, result = None, _MISS
+        if result is _MISS:
+            try:
+                result = coerce(value)
+            except TypeMismatchError as exc:
+                return converted, index, exc
+            if key is not None and len(memo) < _COERCE_MEMO_LIMIT:
+                memo[key] = result
+        append(result)
+    return converted, None, None
+
+
 _KERNELS: dict[type, Callable[..., Iterator[Batch]]] = {
     Scan: _scan_batches,
     PartitionScan: _partition_scan_batches,
@@ -1333,6 +1506,8 @@ _KERNELS: dict[type, Callable[..., Iterator[Batch]]] = {
     Sort: _sort_batches,
     TopK: _topk_batches,
     Limit: _limit_batches,
+    Pivot: _pivot_batches,
+    Coerce: _coerce_batches,
 }
 
 

@@ -38,8 +38,7 @@ from repro.expr.compile import compile_expression
 from repro.expr.parser import parse
 from repro.guava.query import GTreeQuery
 from repro.guava.source import GuavaSource
-from repro.multiclass.classifier import Classifier, EntityClassifier
-from repro.multiclass.domain import Domain
+from repro.multiclass.classifier import Classifier, EntityClassifier, RowKernel
 from repro.multiclass.study_schema import StudySchema
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -201,10 +200,6 @@ class MaterializationStrategy(abc.ABC):
         if not self._built:
             raise MaterializationError("strategy not built yet; call build()")
 
-    def _classify_row(self, record: Row, classifier: Classifier) -> object:
-        domain = self.job.schema.domain_of(*classifier.target)
-        return classifier.classify(record, domain)
-
     # -- refresh machinery (strategies that own the entity table) -------------
 
     def _stored_columns(self) -> list[tuple[str, Classifier]]:
@@ -224,19 +219,21 @@ class MaterializationStrategy(abc.ABC):
             columns.append(Column(name, self.job.column_type(classifier)))
         return TableSchema(self.job.table_name(), tuple(columns))
 
-    def _prefetched(self) -> list[tuple[str, Classifier, Domain]]:
-        """Stored columns with their domains resolved once, not per row."""
+    def _kernels(
+        self, columns: list[tuple[str, Classifier]]
+    ) -> list[tuple[str, RowKernel]]:
+        """(column, compiled classifier kernel) pairs, built once per pass."""
         return [
-            (name, classifier, self.job.schema.domain_of(*classifier.target))
-            for name, classifier in self._stored_columns()
+            (name, classifier.compile(self.job.schema.domain_of(*classifier.target)))
+            for name, classifier in columns
         ]
 
     def _classified(
-        self, record: Row, source_name: str, stored: list[tuple[str, Classifier, Domain]]
+        self, record: Row, source_name: str, stored: list[tuple[str, RowKernel]]
     ) -> Row:
         row: Row = {RECORD_ID: record[RECORD_ID], "source": source_name}
-        for name, classifier, domain in stored:
-            row[name] = classifier.classify(record, domain)
+        for name, kernel in stored:
+            row[name] = kernel(record)
         return row
 
     def _definition_fingerprint(self) -> str:
@@ -271,7 +268,7 @@ class MaterializationStrategy(abc.ABC):
         if self.warehouse.has_table(schema.name):
             self.warehouse.drop_table(schema.name)
         table = self.warehouse.ensure_table(schema)
-        stored = self._prefetched()
+        stored = self._kernels(self._stored_columns())
         for source in self.job.sources:
             for record in self.job.base_records(source):
                 table.insert(self._classified(record, source.name, stored))
@@ -312,7 +309,7 @@ class MaterializationStrategy(abc.ABC):
                 return False
             deltas.append((source, changed))
         table = self.warehouse.table(name)
-        stored = self._prefetched()
+        stored = self._kernels(self._stored_columns())
         refreshed = 0
         reextracted = 0
         for source, changed in deltas:
@@ -405,20 +402,15 @@ class SelectiveStrategy(MaterializationStrategy):
             return rows
         # Recompute cold classifiers straight from the sources (cached in
         # the job, so this does not re-extract right after a build).
-        cold_stored = [
-            (name, self.job.classifier(name)) for name in cold
-        ]
-        cold_prefetched = [
-            (name, classifier, self.job.schema.domain_of(*classifier.target))
-            for name, classifier in cold_stored
-        ]
+        cold_kernels = self._kernels(
+            [(name, self.job.classifier(name)) for name in cold]
+        )
         recomputed: dict[tuple[object, str], Row] = {}
         for source in self.job.sources:
             for record in self.job.base_records(source):
                 key = (record[RECORD_ID], source.name)
                 recomputed[key] = {
-                    name: classifier.classify(record, domain)
-                    for name, classifier, domain in cold_prefetched
+                    name: kernel(record) for name, kernel in cold_kernels
                 }
         for row in rows:
             extra = recomputed.get((row[RECORD_ID], row["source"]), {})

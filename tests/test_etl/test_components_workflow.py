@@ -62,6 +62,35 @@ class TestComponents:
         out = Classify("label", classifier, domain).run([ROWS])
         assert [r["label"] for r in out] == ["None", "Some", None]
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1, True, 0.0, False],
+            [0, False, 0.0, -0.0, 1.0, True, 1],
+            [None, 0, None, False, "0", 0.0],
+        ],
+    )
+    def test_classify_stream_matches_run_on_mixed_types(self, values):
+        # Values that compare equal across types (1/True, 0.0/False/-0.0)
+        # must not share a memoized answer: the streamed column keeps each
+        # row's own value and type, exactly as the serial run does.
+        classifier = Classifier(
+            name="echo",
+            target_entity="P",
+            target_attribute="X",
+            target_domain="any",
+            rules=[Rule.of("x", "x IS NOT NULL")],
+        )
+        rows = [{"x": value} for value in values]
+        component = Classify("out", classifier)
+        serial = [row["out"] for row in component.run([rows])]
+        transform = component.open_stream().transform
+        streamed, _ = transform([dict(row) for row in rows], True)
+        streamed = [row["out"] for row in streamed]
+        exact = [(type(v), repr(v)) for v in values]
+        assert [(type(v), repr(v)) for v in serial] == exact
+        assert [(type(v), repr(v)) for v in streamed] == exact
+
     def test_project(self):
         out = ProjectColumns(("id", "missing")).run([ROWS])
         assert out[0] == {"id": 1, "missing": None}

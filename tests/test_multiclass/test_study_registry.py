@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MultiClassError, StudyError
+from repro.errors import DomainError, MultiClassError, StudyError
 from repro.guava import GuavaSource
 from repro.multiclass import (
     Classifier,
@@ -173,6 +173,56 @@ class TestStudyExecution:
             "Smoking_status3",
             "Hypoxia_flag",
         )
+
+
+class TestStudyRunErrors:
+    """Binding gaps surface per record, as the per-record loop raised them."""
+
+    def study_missing_hypoxia(self, condition: str, generic: bool = False) -> Study:
+        study = Study("gappy", schema())
+        study.add_element("Procedure", "Smoking", "status3")
+        study.add_element("Procedure", "Hypoxia", "flag")
+        admits = EntityClassifier(
+            name="admits",
+            target_entity="Procedure",
+            form="procedure",
+            condition=condition,
+        )
+        # No classifier for the Hypoxia element on this source.
+        study.bind(make_source("clinic_a", generic), [admits], [status_classifier()])
+        return study
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_missing_classifier_is_silent_without_records(self, generic):
+        study = self.study_missing_hypoxia("smoking = 'Nonexistent'", generic)
+        assert study.run().count("Procedure") == 0
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_missing_classifier_raises_once_a_record_needs_it(self, generic):
+        study = self.study_missing_hypoxia("TRUE", generic)
+        message = (
+            "source 'clinic_a' has no classifier for "
+            "('Procedure', 'Hypoxia', 'flag')"
+        )
+        with pytest.raises(StudyError) as raised:
+            study.run()
+        assert str(raised.value) == message
+
+    def test_domain_error_of_an_earlier_element_comes_first(self):
+        # The row is built element by element: an out-of-domain value in
+        # the first element raises before the missing second one does.
+        study = self.study_missing_hypoxia("TRUE")
+        study.bindings[0].classifiers[("Procedure", "Smoking", "status3")] = (
+            Classifier(
+                name="bad_status",
+                target_entity="Procedure",
+                target_attribute="Smoking",
+                target_domain="status3",
+                rules=[Rule.of("'Sometimes'", "TRUE")],
+            )
+        )
+        with pytest.raises(DomainError, match="'Sometimes' is outside domain"):
+            study.run()
 
 
 class TestRegistry:

@@ -222,8 +222,9 @@ class TestRandomizedParallelEquivalence:
     def test_forced_rowwise_fallback_inside_parallel_tree(
         self, patients, workers
     ):
-        # Pivot/Unpivot have no batch kernels: the parallel executor must
-        # route them through the serial fallback and still agree.
+        # Unpivot has no batch kernel and Pivot is not record-wise: the
+        # parallel executor runs both serially over the parallel scan and
+        # must still agree.
         unique = list({row["patient_id"]: row for row in patients}.values())
         db = _load(unique, [], HashPartitioning("patient_id", 3))
         unpivoted = Unpivot(

@@ -13,12 +13,13 @@ row-major evaluation order), which is the one documented divergence.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EvaluationError, QueryError, ReproError
+from repro.errors import EvaluationError, QueryError, ReproError, TypeMismatchError
 from repro.expr.ast import BinaryOp, Identifier, InList, IsNull, Literal, UnaryOp
 from repro.expr.parser import parse
 from repro.relational import (
     Aggregate,
     AggregateSpec,
+    Coerce,
     Compute,
     Database,
     DataType,
@@ -40,6 +41,8 @@ from repro.relational import (
     execute_interpreted,
     optimize,
 )
+from repro.relational.batch import BATCH_SIZE
+from repro.relational.vectorize import _KERNELS, fully_vectorizable
 
 _NAMES = ["ann", "bob", "cal", None]
 
@@ -264,8 +267,10 @@ class TestFallbackSubtrees:
             value_column="value",
             attributes=("age", "name"),
         )
-        # Pivot/Unpivot have no kernels: the batch executor must pack their
-        # streamed rows at the boundary and still agree bit for bit.
+        # Unpivot has no kernel: the batch executor packs its streamed rows
+        # at the boundary, and the Pivot kernel folds those batches.
+        assert not fully_vectorizable(unpivoted)
+        assert type(pivoted) in _KERNELS
         plan = Sort(Select(pivoted, parse("age IS NOT NULL")), (("patient_id", True),))
         _assert_batch_agrees(plan, db)
 
@@ -442,3 +447,190 @@ class TestBatchBoundaries:
         rows = tuple((i, f"v{i}") for i in range(2100))
         plan = Limit(Values(("a", "b"), rows), 1500)
         _assert_batch_agrees(plan, db)
+
+
+# -- Pivot and Coerce kernels -------------------------------------------------
+
+
+def _exact_outcome(fn):
+    """(\"ok\", rows as (type, repr) cells) or (\"err\", type, message)."""
+    try:
+        rows = fn()
+    except (ReproError, TypeError) as exc:
+        return ("err", type(exc), str(exc))
+    return (
+        "ok",
+        [[(name, type(v), repr(v)) for name, v in row.items()] for row in rows],
+    )
+
+
+def _assert_exact_agreement(plan, db) -> None:
+    """All three executors agree on values, types, order and the error raised."""
+    reference = _exact_outcome(lambda: execute_interpreted(plan, db))
+    assert _exact_outcome(lambda: plan.execute(db)) == reference
+    assert _exact_outcome(lambda: Vectorized(plan).execute(db)) == reference
+
+
+_EAV_COLUMNS = ("k1", "k2", "attribute", "value")
+
+# Keys that alias under dict equality (1/True/1.0), NULLs, and attribute
+# values that are not declared names, not str, or not hashable.
+_eav_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 2, True, 1.0, None]),
+        st.sampled_from(["x", "y", None]),
+        st.sampled_from(["age", "name", "flag", "other", 1, None, ("age",), ["age"]]),
+        st.one_of(
+            st.none(),
+            st.sampled_from(["1", "2", " 3 ", "x", "true", "0", "", "2.5"]),
+            st.sampled_from([0, 1, True, False, 0.0, -0.0, 2.5]),
+        ),
+    ),
+    max_size=40,
+)
+
+_ATTRIBUTES = ("age", "name", "flag")
+
+_column_types = st.lists(
+    st.tuples(
+        st.sampled_from(_ATTRIBUTES + ("k1", "absent")),
+        st.sampled_from(list(DataType)),
+    ),
+    max_size=4,
+).map(tuple)
+
+
+class TestPivotCoerceKernels:
+    """The EAV read path's kernels against the interpreter, exactly."""
+
+    @given(_eav_rows, st.sampled_from([("k1",), ("k1", "k2"), ()]))
+    @settings(max_examples=120, deadline=None)
+    def test_pivot_matches_interpreter(self, rows, keys):
+        plan = Pivot(Values(_EAV_COLUMNS, tuple(rows)), keys, "attribute", "value", _ATTRIBUTES)
+        _assert_exact_agreement(plan, _load([], []))
+
+    @given(_eav_rows, _column_types)
+    @settings(max_examples=120, deadline=None)
+    def test_coerce_over_pivot_matches_interpreter(self, rows, column_types):
+        hashable = [row for row in rows if not isinstance(row[2], list)]
+        pivoted = Pivot(Values(_EAV_COLUMNS, tuple(hashable)), ("k1",), "attribute", "value", _ATTRIBUTES)
+        _assert_exact_agreement(Coerce(pivoted, column_types), _load([], []))
+
+    def test_duplicate_key_attribute_keeps_the_last_value(self):
+        rows = (
+            (1, None, "age", "1"),
+            (2, None, "age", "5"),
+            (1, None, "age", "2"),
+            (True, None, "name", "ann"),
+            (1, None, "age", None),
+        )
+        plan = Pivot(Values(_EAV_COLUMNS, rows), ("k1",), "attribute", "value", _ATTRIBUTES)
+        out = Vectorized(plan).execute(_load([], []))
+        assert out == [
+            {"k1": 1, "age": None, "name": "ann", "flag": None},
+            {"k1": 2, "age": "5", "name": None, "flag": None},
+        ]
+        assert type(out[0]["k1"]) is int  # the first-seen key object
+        _assert_exact_agreement(plan, _load([], []))
+
+    def test_undeclared_and_unhashable_attributes_are_ignored(self):
+        rows = (
+            (1, "x", 1, "a"),
+            (1, "x", ["age"], "b"),
+            (1, "x", None, "c"),
+            (1, "y", "other", "d"),
+            (1, "y", "flag", "e"),
+        )
+        plan = Pivot(Values(_EAV_COLUMNS, rows), ("k1", "k2"), "attribute", "value", _ATTRIBUTES)
+        assert Vectorized(plan).execute(_load([], [])) == [
+            {"k1": 1, "k2": "x", "age": None, "name": None, "flag": None},
+            {"k1": 1, "k2": "y", "age": None, "name": None, "flag": "e"},
+        ]
+        _assert_exact_agreement(plan, _load([], []))
+
+    def test_unhashable_key_raises_like_the_row_path(self):
+        rows = ((0, None, "age", "1"), ([1], None, "age", "2"))
+        plan = Pivot(Values(_EAV_COLUMNS, rows), ("k1",), "attribute", "value", _ATTRIBUTES)
+        _assert_exact_agreement(plan, _load([], []))
+        assert _exact_outcome(lambda: Vectorized(plan).execute(_load([], [])))[0] == "err"
+
+    def test_empty_input(self):
+        plan = Coerce(
+            Pivot(Values(_EAV_COLUMNS, ()), ("k1",), "attribute", "value", _ATTRIBUTES),
+            (("age", DataType.INTEGER),),
+        )
+        assert Vectorized(plan).execute(_load([], [])) == []
+        _assert_exact_agreement(plan, _load([], []))
+
+    def test_null_heavy_values(self):
+        rows = tuple(
+            (i % 5, None, _ATTRIBUTES[i % 3], None if i % 4 else str(i))
+            for i in range(60)
+        )
+        plan = Coerce(
+            Pivot(Values(_EAV_COLUMNS, rows), ("k1",), "attribute", "value", _ATTRIBUTES),
+            (("age", DataType.INTEGER), ("name", DataType.TEXT), ("flag", DataType.FLOAT)),
+        )
+        _assert_exact_agreement(plan, _load([], []))
+
+    def test_coerce_raises_the_first_bad_value_in_row_then_column_order(self):
+        db = _load([], [])
+        both = (("a", DataType.INTEGER), ("b", DataType.INTEGER))
+        # Column b fails on an earlier row than column a: row order wins.
+        rows = (("1", "2"), ("2", "x"), ("bad", "3"))
+        plan = Coerce(Values(("a", "b"), rows), both)
+        with pytest.raises(TypeMismatchError, match="'x'"):
+            Vectorized(plan).execute(db)
+        _assert_exact_agreement(plan, db)
+        # Both columns fail on the same row: the declared order decides.
+        rows = (("1", "2"), ("oops", "x"))
+        for column_types, culprit in ((both, "'oops'"), (both[::-1], "'x'")):
+            plan = Coerce(Values(("a", "b"), rows), column_types)
+            with pytest.raises(TypeMismatchError, match=culprit):
+                Vectorized(plan).execute(db)
+            _assert_exact_agreement(plan, db)
+
+    def test_coerce_repeated_column_and_later_batch_errors(self):
+        rows = tuple((str(i % 7), "-0.0" if i % 2 else "0.0") for i in range(BATCH_SIZE + 300))
+        bad = rows[: BATCH_SIZE + 5] + (("nope", "1"),) + rows[BATCH_SIZE + 5 :]
+        for data in (rows, bad):
+            plan = Coerce(
+                Values(("a", "b"), data),
+                (
+                    ("a", DataType.INTEGER),
+                    ("b", DataType.FLOAT),
+                    ("a", DataType.TEXT),
+                    ("b", DataType.TEXT),
+                ),
+            )
+            _assert_exact_agreement(plan, _load([], []))
+
+    def test_coerce_over_dictionary_encoded_column(self):
+        # Enough low-cardinality text rows for the scan to dictionary-encode
+        # ``name``: the kernel reads the values, not the codes.
+        db = Database("coded")
+        db.create_table(TableSchema.build("t", [("id", DataType.INTEGER), ("name", DataType.TEXT)]))
+        db.insert("t", [{"id": i, "name": ["1", "0", None, "2"][i % 4]} for i in range(600)])
+        to_int = Coerce(Scan("t"), (("name", DataType.INTEGER),))
+        _assert_exact_agreement(to_int, db)
+        to_bool = Coerce(Scan("t"), (("name", DataType.BOOLEAN),))
+        with pytest.raises(TypeMismatchError, match="'2'"):
+            Vectorized(to_bool).execute(db)
+        _assert_exact_agreement(to_bool, db)
+
+    def test_cori_generic_read_plan_is_fully_vectorizable(self, world):
+        # The CORI feed lays its procedure form out through the Generic
+        # (EAV) pattern: its optimized read plan must run as one batch
+        # pipeline, Pivot and Coerce included, with no row fallback.
+        from repro.guava.query import GTreeQuery
+        from repro.guava.source import translate_query
+
+        source = world.source("cori_warehouse_feed")
+        plan = optimize(
+            translate_query(GTreeQuery(source.gtree("procedure")), source.chain),
+            source.db,
+        )
+        assert isinstance(plan, Vectorized)
+        assert {type(node) for node in plan.child.walk()} >= {Pivot, Coerce}
+        assert fully_vectorizable(plan.child)
+        assert Vectorized(plan.child).execute(source.db) == plan.child.execute(source.db)
