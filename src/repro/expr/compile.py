@@ -84,8 +84,7 @@ def compile_predicate(
     """Like :meth:`Evaluator.satisfied`: True iff ``expr`` is boolean TRUE."""
     registry = functions or _DEFAULT_REGISTRY
     if registry is not _DEFAULT_REGISTRY:
-        value_of = _lower(expr, registry)
-        return lambda env: value_of(env) is True
+        return lower_predicate(expr, registry)
     cached = _PREDICATE_CACHE.get(id(expr))
     if cached is not None and cached[0] is expr:
         return cached[1]
@@ -95,6 +94,19 @@ def compile_predicate(
         _PREDICATE_CACHE.clear()
     _PREDICATE_CACHE[id(expr)] = (expr, compiled)
     return compiled
+
+
+def lower_predicate(
+    expr: Expression, functions: FunctionRegistry | None = None
+) -> CompiledPredicate:
+    """:func:`compile_predicate` without the process-wide memo.
+
+    For a caller that keeps the closure exactly as long as the expression,
+    such as a form holding its controls' enablement conditions: the memo
+    would only pin both past their owner's lifetime.
+    """
+    value_of = _lower(expr, functions or _DEFAULT_REGISTRY)
+    return lambda env: value_of(env) is True
 
 
 # -- lowering ------------------------------------------------------------------

@@ -2,13 +2,62 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from datetime import date
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.errors import IntegrityError, SchemaError
 from repro.relational.index import HashIndex
 from repro.relational.schema import PartitionScheme, TableSchema
+from repro.relational.types import DataType
 
 Row = dict[str, object]
+
+#: The Python type each column type stores.  ``DataType.coerce`` returns a
+#: value of exactly this type (no subclass: ``bool`` is not an INTEGER,
+#: ``datetime`` is not a DATE) unchanged, as it does ``None``, so validation
+#: skips the call for both.
+_STORED_TYPE: dict[DataType, type] = {
+    DataType.INTEGER: int,
+    DataType.FLOAT: float,
+    DataType.TEXT: str,
+    DataType.BOOLEAN: bool,
+    DataType.DATE: date,
+}
+
+
+class _ColumnCheck(NamedTuple):
+    name: str
+    stored: type
+    coerce: Callable[[object], object]
+    nullable: bool
+
+
+class _RowPlan(NamedTuple):
+    """Row validation for one schema object, built once per schema."""
+
+    schema: TableSchema
+    known: frozenset[str]
+    columns: tuple[_ColumnCheck, ...]
+    by_name: dict[str, _ColumnCheck]
+
+    @classmethod
+    def of(cls, schema: TableSchema) -> "_RowPlan":
+        columns = tuple(
+            _ColumnCheck(
+                column.name,
+                _STORED_TYPE[column.dtype],
+                column.dtype.coerce,
+                column.nullable,
+            )
+            for column in schema.columns
+        )
+        return cls(
+            schema,
+            frozenset(schema.column_names),
+            columns,
+            {check.name: check for check in columns},
+        )
+
 
 #: Callbacks fired whenever a table's extent or counters are *restored*
 #: (snapshot load, WAL replay) rather than mutated through the normal
@@ -55,6 +104,7 @@ class Table:
         # once per successful mutating call with (op, payload) *after* the
         # mutation is applied; None (the default) costs one check per call.
         self._listener: Callable[[str, dict[str, object]], None] | None = None
+        self._row_plan = _RowPlan.of(schema)
         if schema.primary_key:
             self._pk_index = HashIndex(schema.primary_key)
         if schema.partitioning is not None:
@@ -368,56 +418,92 @@ class Table:
         predicate: Callable[[Row], bool],
         changes: Mapping[str, object],
     ) -> int:
-        """Apply ``changes`` to rows matching ``predicate``; returns count."""
-        for column in changes:
-            if not self.schema.has_column(column):
-                raise SchemaError(f"table {self.name} has no column {column!r}")
-        updated = 0
-        positions: list[int] = []
-        for position, row in enumerate(self._rows):
-            if predicate(row):
-                for column, value in changes.items():
-                    row[column] = self.schema.column(column).dtype.coerce(value)
-                positions.append(position)
-                updated += 1
-        if updated:
-            self._version += 1
-            self._rebuild_indexes()
-            self._rebuild_partitions()
-            self._notify(
-                "update", {"positions": positions, "changes": dict(changes)}
-            )
-        return updated
+        """Apply ``changes`` to rows matching ``predicate``; returns count.
+
+        The change set is coerced and checked (NOT NULL, primary-key NULLs
+        and duplicates) before any row is touched, so a rejected update
+        leaves the table exactly as it was.
+        """
+        coerced = self._coerce_changes(changes)
+        positions = [
+            position for position, row in enumerate(self._rows) if predicate(row)
+        ]
+        return self._apply_changes(positions, changes, coerced)
 
     def apply_update_at(
         self, positions: Iterable[int], changes: Mapping[str, object]
     ) -> int:
         """Apply ``changes`` to the rows at ``positions`` (the redo path).
 
-        Position-based replay of an :meth:`update`: identical coercion,
-        identical single version bump, identical index/partition rebuild —
-        so replaying a logged update reproduces the original bit for bit
-        without re-evaluating its (unserializable) predicate.
+        Position-based replay of an :meth:`update`: identical coercion and
+        checks, identical single version bump, identical index/partition
+        rebuild — so replaying a logged update reproduces the original bit
+        for bit without re-evaluating its (unserializable) predicate.
         """
+        coerced = self._coerce_changes(changes)
+        return self._apply_changes(list(positions), changes, coerced)
+
+    def _coerce_changes(self, changes: Mapping[str, object]) -> Row:
+        """Coerce and NULL-check an update's change set, in its own order."""
+        by_name = self._plan().by_name
         for column in changes:
-            if not self.schema.has_column(column):
+            if column not in by_name:
                 raise SchemaError(f"table {self.name} has no column {column!r}")
-        applied = 0
+        coerced: Row = {}
+        for column, value in changes.items():
+            check = by_name[column]
+            if type(value) is not check.stored:
+                if value is not None:
+                    value = check.coerce(value)
+                elif not check.nullable:
+                    raise IntegrityError(
+                        f"{self.name}.{column} is NOT NULL but got NULL"
+                    )
+                elif column in self.schema.primary_key:
+                    raise IntegrityError(
+                        f"{self.name}.{column} is part of the primary key "
+                        "and must not be NULL"
+                    )
+            coerced[column] = value
+        return coerced
+
+    def _apply_changes(
+        self, positions: list[int], changes: Mapping[str, object], coerced: Row
+    ) -> int:
+        if not positions:
+            return 0
         rows = self._rows
-        position_list = list(positions)
-        for position in position_list:
+        index = self._pk_index
+        if index is not None and not coerced.keys().isdisjoint(index.columns):
+            self._check_updated_keys(index, positions, coerced)
+        for position in positions:
+            rows[position].update(coerced)
+        self._version += 1
+        self._rebuild_indexes()
+        self._rebuild_partitions()
+        self._notify("update", {"positions": positions, "changes": dict(changes)})
+        return len(positions)
+
+    def _check_updated_keys(
+        self, index: HashIndex, positions: list[int], coerced: Row
+    ) -> None:
+        """Reject an update that would give two rows one primary key."""
+        key_columns = index.columns
+        rows = self._rows
+        updated = set(positions)
+        claimed: set[tuple[object, ...]] = set()
+        for position in positions:
             row = rows[position]
-            for column, value in changes.items():
-                row[column] = self.schema.column(column).dtype.coerce(value)
-            applied += 1
-        if applied:
-            self._version += 1
-            self._rebuild_indexes()
-            self._rebuild_partitions()
-            self._notify(
-                "update", {"positions": position_list, "changes": dict(changes)}
+            key = tuple(coerced.get(c, row[c]) for c in key_columns)
+            clash = key in claimed or any(
+                other not in updated for other in index.lookup(key)
             )
-        return applied
+            if clash:
+                raise IntegrityError(
+                    f"{self.name}.{', '.join(key_columns)}: update would "
+                    f"duplicate primary key {key}"
+                )
+            claimed.add(key)
 
     def delete(self, predicate: Callable[[Row], bool]) -> int:
         """Remove rows matching ``predicate``; returns count removed."""
@@ -545,20 +631,29 @@ class Table:
 
     # -- internals -------------------------------------------------------------
 
+    def _plan(self) -> _RowPlan:
+        # Keyed on the schema object: ``repartition`` swaps in a new one.
+        plan = self._row_plan
+        if plan.schema is not self.schema:
+            plan = self._row_plan = _RowPlan.of(self.schema)
+        return plan
+
     def _validate(self, values: Mapping[str, object]) -> Row:
-        unknown = set(values) - set(self.schema.column_names)
-        if unknown:
+        plan = self._plan()
+        if not plan.known.issuperset(values):
             raise SchemaError(
-                f"table {self.name} has no column(s) {sorted(unknown)}"
+                f"table {self.name} has no column(s) {sorted(set(values) - plan.known)}"
             )
         row: Row = {}
-        for column in self.schema.columns:
-            value = column.dtype.coerce(values.get(column.name))
-            if value is None and not column.nullable:
-                raise IntegrityError(
-                    f"{self.name}.{column.name} is NOT NULL but got NULL"
-                )
-            row[column.name] = value
+        get = values.get
+        for name, stored, coerce, nullable in plan.columns:
+            value = get(name)
+            if type(value) is not stored:
+                if value is not None:
+                    value = coerce(value)
+                elif not nullable:
+                    raise IntegrityError(f"{self.name}.{name} is NOT NULL but got NULL")
+            row[name] = value
         return row
 
     def _rebuild_indexes(self) -> None:

@@ -13,6 +13,8 @@ from typing import Iterator
 
 from repro.errors import ControlError
 from repro.expr.analysis import referenced_identifiers
+from repro.expr.ast import Identifier
+from repro.expr.compile import CompiledPredicate, lower_predicate
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.ui.controls import Control
@@ -33,7 +35,8 @@ class Form:
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
             raise ControlError(f"form name {self.name!r} must be a valid identifier")
-        names = [control.name for control in self.iter_controls()]
+        every = tuple(self.iter_controls())
+        names = [control.name for control in every]
         duplicates = {n for n in names if names.count(n) > 1}
         if duplicates:
             raise ControlError(
@@ -41,20 +44,43 @@ class Form:
             )
         if RECORD_ID in names:
             raise ControlError(f"form {self.name}: {RECORD_ID!r} is reserved")
-        self._by_name = {control.name: control for control in self.iter_controls()}
-        self._validate_enablement()
+        self._by_name = {control.name: control for control in every}
+        self._data_controls = tuple(c for c in every if c.stores_data)
+        self._dependents = self._index_enablement(every)
+        # Compiled enablement conditions, filled on first use and held here
+        # rather than in the process-wide compile memo.
+        self._predicates: dict[str, CompiledPredicate | None] = {}
+        # The opening screen (validated defaults, disabled controls cleared),
+        # filled by the first FormInstance that computes it without raising.
+        self._initial_values: dict[str, object] | None = None
 
-    def _validate_enablement(self) -> None:
-        for control in self.iter_controls():
+    def _index_enablement(
+        self, controls: tuple[Control, ...]
+    ) -> dict[str, tuple[int, ...]]:
+        """Check every enablement reference names a control, and index them.
+
+        Returns control name -> ascending positions (in :meth:`data_controls`
+        order) of the data controls whose enablement reads it.  Identifiers
+        resolve by their leaf segment, as the evaluator resolves them against
+        a screen keyed by control name; self-references count.
+        """
+        positions = {control.name: i for i, control in enumerate(self._data_controls)}
+        dependents: dict[str, set[int]] = {}
+        for control in controls:
             if control.enabled_when is None:
                 continue
-            for name in referenced_identifiers(control.enabled_when):
-                leaf = name.split(".")[-1]
-                if leaf not in self._by_name:
+            position = positions.get(control.name)
+            for node in control.enabled_when.walk():
+                if not isinstance(node, Identifier):
+                    continue
+                if node.name.split(".")[-1] not in self._by_name:
                     raise ControlError(
                         f"{self.name}.{control.name}: enablement references "
-                        f"unknown control {name!r}"
+                        f"unknown control {node.name!r}"
                     )
+                if position is not None:
+                    dependents.setdefault(node.leaf, set()).add(position)
+        return {name: tuple(sorted(found)) for name, found in dependents.items()}
 
     # -- traversal -----------------------------------------------------------
 
@@ -65,7 +91,18 @@ class Form:
 
     def data_controls(self) -> list[Control]:
         """Controls that store data (one naive-schema column each)."""
-        return [control for control in self.iter_controls() if control.stores_data]
+        return list(self._data_controls)
+
+    def enablement_predicate(self, name: str) -> CompiledPredicate | None:
+        """The compiled enablement condition of control ``name`` (None when
+        it is always enabled)."""
+        predicates = self._predicates
+        if name in predicates:
+            return predicates[name]
+        condition = self.control(name).enabled_when
+        compiled = None if condition is None else lower_predicate(condition)
+        predicates[name] = compiled
+        return compiled
 
     def control(self, name: str) -> Control:
         """Look up a control by name."""
@@ -79,9 +116,11 @@ class Form:
     def enablement_parent(self, control: Control) -> Control | None:
         """The control whose answer enables ``control``, if any.
 
-        When the enablement condition references several controls the first
-        reference (document order of the expression) is the g-tree parent;
-        the rest remain recorded in the condition itself.
+        When the enablement condition references several controls, the
+        parent is the one named by the alphabetically first identifier (by
+        its dotted name as written), skipping self-references; the rest
+        remain recorded in the condition itself.  So ``zeta = 1 AND
+        alpha = 2`` hangs under ``alpha``.
         """
         if control.enabled_when is None:
             return None

@@ -14,6 +14,7 @@ controls holding no data) that give g-tree nodes their meaning.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Mapping
 
 from repro.errors import (
@@ -21,28 +22,39 @@ from repro.errors import (
     DisabledControlError,
     RequiredControlError,
 )
-from repro.expr.evaluator import Evaluator
 from repro.ui.form import RECORD_ID, Form
 from repro.ui.toolkit import ReportingTool
 
 NaiveRow = dict[str, object]
 Writer = Callable[[str, NaiveRow], None]
 
-_EVALUATOR = Evaluator()
-
 
 class FormInstance:
-    """One open screen: current values plus enablement state."""
+    """One open screen: current values plus enablement state.
+
+    The screen is *settled* when every control holding data is enabled by
+    the current values.  From a settled screen, :meth:`set` re-checks only
+    the controls whose conditions read what changed; a condition that
+    raises mid-sweep leaves the screen unsettled, and the next :meth:`set`
+    falls back to the full sweep (DESIGN.md §5, UI enablement).
+    """
 
     def __init__(self, form: Form, record_id: int):
         self.form = form
         self.record_id = record_id
-        self._values: dict[str, object] = {}
-        for control in form.data_controls():
-            self._values[control.name] = control.validate(control.default)
+        initial = form._initial_values
+        if initial is not None:
+            self._values = dict(initial)
+            self._settled = True
+            return
+        self._values = {
+            control.name: control.validate(control.default)
+            for control in form._data_controls
+        }
         # Controls that open disabled hold no data, even if they declare a
         # default — the GUI greys them out before anything is stored.
         self._clear_disabled()
+        form._initial_values = dict(self._values)
 
     # -- state ----------------------------------------------------------------
 
@@ -63,10 +75,10 @@ class FormInstance:
         A control with no condition is always enabled; a condition that
         evaluates to NULL (because its inputs are unanswered) disables.
         """
-        control = self.form.control(control_name)
-        if control.enabled_when is None:
+        predicate = self.form.enablement_predicate(control_name)
+        if predicate is None:
             return True
-        return _EVALUATOR.satisfied(control.enabled_when, self._values)
+        return predicate(self._values)
 
     # -- interaction ------------------------------------------------------------
 
@@ -87,19 +99,63 @@ class FormInstance:
                 f"{self.form.name}.{control_name} is disabled"
             )
         self._values[control_name] = control.validate(value)
-        self._clear_disabled()
+        if self._settled:
+            self._clear_dependents(control_name)
+        else:
+            self._clear_disabled()
 
     def _clear_disabled(self) -> None:
+        """The full sweep: re-check every control until nothing changes."""
+        self._settled = False
         # Iterate to a fixed point: clearing one control may disable another.
         changed = True
         while changed:
             changed = False
-            for control in self.form.data_controls():
+            for control in self.form._data_controls:
                 if self._values[control.name] is not None and not self.is_enabled(
                     control.name
                 ):
                     self._values[control.name] = None
                     changed = True
+        self._settled = True
+
+    def _clear_dependents(self, changed_name: str) -> None:
+        """The full sweep's clears, re-checking only what ``changed_name``
+        can reach.
+
+        On a settled screen, a control whose inputs have not changed since
+        its last check would evaluate the same way again: enabled, without
+        raising.  So the full sweep can only clear a control that reads a
+        changed value, and it checks it at the first document position it
+        reaches after the change.  This sweep visits exactly those
+        positions in the same order.  A dirty position after the cursor is
+        taken in the current pass; one at or before it waits for the next
+        pass, as it would in the full sweep.
+        """
+        dependents = self.form._dependents
+        queue = list(dependents.get(changed_name, ()))
+        if not queue:
+            return
+        controls = self.form._data_controls
+        values = self._values
+        self._settled = False
+        while queue:
+            queued = set(queue)
+            next_pass: set[int] = set()
+            while queue:
+                position = heappop(queue)
+                name = controls[position].name
+                if values[name] is None or self.is_enabled(name):
+                    continue
+                values[name] = None
+                for dependent in dependents.get(name, ()):
+                    if dependent <= position:
+                        next_pass.add(dependent)
+                    elif dependent not in queued:
+                        queued.add(dependent)
+                        heappush(queue, dependent)
+            queue = sorted(next_pass)
+        self._settled = True
 
     def save(self) -> NaiveRow:
         """Validate required fields and return the naive row.
@@ -107,7 +163,7 @@ class FormInstance:
         Required controls must be answered *when enabled*; a required
         control that is disabled is legitimately empty.
         """
-        for control in self.form.data_controls():
+        for control in self.form._data_controls:
             if (
                 control.required
                 and self.is_enabled(control.name)

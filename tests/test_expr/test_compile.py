@@ -16,7 +16,7 @@ from repro.expr.ast import (
     Literal,
     UnaryOp,
 )
-from repro.expr.compile import compile_expression, compile_predicate
+from repro.expr.compile import compile_expression, compile_predicate, lower_predicate
 from repro.expr.evaluator import Evaluator
 
 _EVALUATOR = Evaluator()
@@ -73,6 +73,8 @@ class TestUnitEquivalence:
         expr = parse("a + b")
         assert compile_expression(expr) is compile_expression(expr)
         assert compile_predicate(expr) is compile_predicate(expr)
+        # The unmemoized variant lowers afresh on every call.
+        assert lower_predicate(expr) is not lower_predicate(expr)
 
     def test_custom_registry_not_memoized_into_default_cache(self):
         from repro.expr.functions import default_registry
@@ -201,10 +203,11 @@ class TestPropertyEquivalence:
     @given(_expressions(), _envs)
     @settings(max_examples=150)
     def test_predicate_agrees_with_satisfied(self, expr, env):
-        try:
-            expected = _EVALUATOR.satisfied(expr, env)
-        except (EvaluationError, UnknownIdentifierError) as error:
-            with pytest.raises(type(error)):
-                compile_predicate(expr)(env)
-            return
-        assert compile_predicate(expr)(env) is expected
+        for compile_ in (compile_predicate, lower_predicate):
+            try:
+                expected = _EVALUATOR.satisfied(expr, env)
+            except (EvaluationError, UnknownIdentifierError) as error:
+                with pytest.raises(type(error)):
+                    compile_(expr)(env)
+                continue
+            assert compile_(expr)(env) is expected

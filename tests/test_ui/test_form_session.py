@@ -57,6 +57,21 @@ class TestForm:
     def test_no_enablement_parent(self, fig2_form):
         assert fig2_form.enablement_parent(fig2_form.control("hypoxia")) is None
 
+    def test_enablement_parent_is_alphabetically_first_reference(self):
+        form = Form(
+            "f",
+            "F",
+            controls=[
+                NumericBox("zeta", "Zeta"),
+                NumericBox("alpha", "Alpha"),
+                NumericBox("x", "X", enabled_when="zeta = 1 AND alpha = 2"),
+                NumericBox("aa", "Self", enabled_when="aa IS NULL OR zeta = 1"),
+            ],
+        )
+        assert form.enablement_parent(form.control("x")).name == "alpha"
+        # A self-reference is skipped even when it sorts first.
+        assert form.enablement_parent(form.control("aa")).name == "zeta"
+
 
 class TestNaiveSchema:
     def test_one_column_per_data_control(self, fig2_form):

@@ -3,13 +3,28 @@
 The invariant that gives g-trees their meaning: a saved screen never
 contains data in a control whose enablement condition is not satisfied by
 the rest of the screen — the GUI would not have let the user type there.
+
+The differential test checks the dependency-indexed enablement sweep of
+:class:`FormInstance` against :class:`ReferenceScreen`, a full sweep over
+the tree-walking evaluator after every ``set()``, on random forms.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DataEntryError
+from repro.errors import DataEntryError, DisabledControlError, RequiredControlError
 from repro.expr.evaluator import Evaluator
-from repro.ui import CheckBox, DataEntrySession, Form, NumericBox, RadioGroup, ReportingTool
+from repro.ui import (
+    CheckBox,
+    DataEntrySession,
+    Form,
+    FormInstance,
+    GroupBox,
+    NumericBox,
+    RadioGroup,
+    ReportingTool,
+    TextBox,
+)
+from repro.ui.form import RECORD_ID
 
 _EVALUATOR = Evaluator()
 
@@ -78,3 +93,364 @@ class TestEnablementInvariant:
             return instance.save()
 
         assert run() == run()
+
+
+# -- differential enablement ------------------------------------------------
+
+
+class ReferenceScreen:
+    """The enablement semantics spelled out naively: after every ``set()``,
+    re-check every data control through the tree-walking evaluator until
+    nothing changes."""
+
+    def __init__(self, form: Form, record_id: int = 1):
+        self.form = form
+        self.record_id = record_id
+        self.values = {}
+        for control in form.data_controls():
+            self.values[control.name] = control.validate(control.default)
+        self._clear_disabled()
+
+    def is_enabled(self, name):
+        control = self.form.control(name)
+        if control.enabled_when is None:
+            return True
+        return _EVALUATOR.satisfied(control.enabled_when, self.values)
+
+    def set(self, name, value):
+        control = self.form.control(name)
+        if not control.stores_data:
+            raise DataEntryError(f"cannot enter data into {name}")
+        if not self.is_enabled(name):
+            raise DisabledControlError(f"{self.form.name}.{name} is disabled")
+        self.values[name] = control.validate(value)
+        self._clear_disabled()
+
+    def _clear_disabled(self):
+        changed = True
+        while changed:
+            changed = False
+            for control in self.form.data_controls():
+                if self.values[control.name] is not None and not self.is_enabled(
+                    control.name
+                ):
+                    self.values[control.name] = None
+                    changed = True
+
+    def save(self):
+        for control in self.form.data_controls():
+            if (
+                control.required
+                and self.is_enabled(control.name)
+                and self.values[control.name] is None
+            ):
+                raise RequiredControlError(
+                    f"{self.form.name}.{control.name} is required"
+                )
+        row = {RECORD_ID: self.record_id}
+        row.update(self.values)
+        return row
+
+
+def _outcome(call):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return call(), None
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return None, (type(exc), str(exc))
+
+
+def _typed(values):
+    return {name: (type(value), value) for name, value in values.items()}
+
+
+_ANY_VALUE = st.sampled_from(
+    [None, "A", "B", "Z", 0, 1, 5, 2.5, True, False, "3", "yes", ""]
+)
+# Answers each kind of control accepts, so that most entries succeed and
+# the screen fills up enough for clears to cascade.
+_ANSWERS = {
+    "numeric": st.sampled_from([0, 1, 5, "3"]),
+    "check": st.sampled_from([True, False, 1, "yes"]),
+    "radio": st.sampled_from(["A", "B", "A"]),
+    "text": st.sampled_from(["A", "B", "x", "7"]),
+}
+# "grp" names a group box: it stores no data, so a condition that reads it
+# raises UnknownIdentifierError when evaluated.  Ordering text against a
+# number, or using a non-boolean as a condition, raises EvaluationError;
+# the guarded forms let a control be filled first and raise later, once
+# the control they read is answered.
+_ATOMS = st.sampled_from(
+    (
+        "{c} IS NOT NULL",
+        "{c} IS NOT NULL",
+        "{c} IS NOT NULL",
+        "{c} IS NULL",
+        "{c} = 'A'",
+        "{c} != 'B'",
+        "{c} = 1",
+        "{c} = TRUE",
+        "{c} > 3",
+        "{c} IS NULL OR {c} > 3",
+        "{c} IS NULL OR {c}",
+        "grp IS NULL",
+    )
+)
+
+
+@st.composite
+def _conditions(draw, names, depth=2):
+    # Mostly single atoms, so chains of answers enabling answers form.
+    if depth == 0 or draw(st.integers(0, 2)):
+        return draw(_ATOMS).format(c=draw(st.sampled_from(names)))
+    kind = draw(st.sampled_from(("AND", "OR", "NOT")))
+    if kind == "NOT":
+        return f"NOT ({draw(_conditions(names, depth - 1))})"
+    left = draw(_conditions(names, depth - 1))
+    right = draw(_conditions(names, depth - 1))
+    return f"({left}) {kind} ({right})"
+
+
+# Single-reference conditions for linked forms, by the kind of control
+# referenced: each can be satisfied, so answers enable answers in chains.
+_LINKS = {
+    "numeric": ("{c} IS NOT NULL", "{c} > 3"),
+    "check": ("{c} IS NOT NULL", "{c} = TRUE"),
+    "radio": ("{c} IS NOT NULL", "{c} = 'A'"),
+    "text": ("{c} IS NOT NULL", "{c} = 'A'"),
+}
+# Enabled while the referenced control is empty; raises once it holds text.
+_RAISING_LINK = "{c} IS NULL OR {c} > 3"
+
+
+@st.composite
+def _links(draw, names, kinds):
+    """Conditions hanging each control off one enabler.
+
+    The enablers follow a random order (often reverse document order),
+    so the chains run forward and backward through the form; a clear then
+    reaches a control the full sweep has already passed, which it only
+    re-checks on its next pass.  Now and then a link points anywhere,
+    which makes cycles and self-references.
+    """
+    order = names[::-1] if draw(st.integers(0, 2)) else draw(st.permutations(names))
+    links = {}
+    for rank, name in enumerate(order[1:], start=1):
+        if not draw(st.integers(0, 5)):
+            continue
+        # Mostly the one just before, which makes long chains.
+        target = order[rank - 1]
+        if draw(st.booleans()):
+            target = order[draw(st.integers(0, rank - 1))]
+        if not draw(st.integers(0, 5)):
+            target = draw(st.sampled_from(names))
+        link = draw(st.sampled_from(_LINKS[kinds[target]]))
+        if not draw(st.integers(0, 5)):
+            link = _RAISING_LINK
+        links[name] = link.format(c=target)
+    return links
+
+
+@st.composite
+def _random_forms(draw):
+    """A form of 2–7 data controls with random conditions, and each data
+    control's kind by name."""
+    count = draw(st.integers(2, 7))
+    names = [f"c{i}" for i in range(count)]
+    kinds = {name: draw(st.sampled_from(sorted(_ANSWERS))) for name in names}
+    if draw(st.integers(0, 2)):
+        conditions = draw(_links(names, kinds))
+    else:
+        # Any control may be referenced: earlier ones, later ones and
+        # itself.
+        conditions = {
+            name: draw(_conditions(names)) for name in names if draw(st.integers(0, 3))
+        }
+    controls = []
+    for name in names:
+        kind = kinds[name]
+        condition = conditions.get(name)
+        # Defaults on some controls, dependent ones included; now and then
+        # an invalid one, which makes opening the form raise.
+        default = None
+        if not draw(st.integers(0, 3)):
+            default = draw(_ANSWERS[kind] if draw(st.integers(0, 7)) else _ANY_VALUE)
+        options = dict(
+            required=draw(st.booleans()), default=default, enabled_when=condition
+        )
+        if kind == "numeric":
+            control = NumericBox(name, name, integer=draw(st.booleans()), **options)
+        elif kind == "check":
+            control = CheckBox(name, name, **options)
+        elif kind == "radio":
+            control = RadioGroup(name, name, choices=["A", "B"], **options)
+        else:
+            control = TextBox(name, name, **options)
+        controls.append(control)
+    # Nest a slice of the controls in a group box so document order is a
+    # pre-order walk, not list order.
+    cut = draw(st.integers(0, count))
+    span = draw(st.integers(0, count - cut))
+    grouped = controls[cut : cut + span]
+    top = controls[:cut] + [GroupBox("grp", "Group", children=grouped)]
+    top += controls[cut + span :]
+    return Form("screen", "Screen", controls=top), kinds
+
+
+def _enabled(screen, name):
+    try:
+        return screen.is_enabled(name)
+    except Exception:  # noqa: BLE001 - a raising condition is not enabled
+        return False
+
+
+class TestDifferentialEnablement:
+    @given(_random_forms(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_dependency_sweep_matches_full_sweep(self, built, data):
+        form, kinds = built
+        targets = sorted(kinds) + ["grp", "ghost"]
+        reference, ref_error = _outcome(lambda: ReferenceScreen(form))
+        instance, error = _outcome(lambda: FormInstance(form, 1))
+        assert error == ref_error
+        if ref_error is not None:
+            return
+        # A second instance starts from the cached opening screen.
+        assert _typed(FormInstance(form, 2).values()) == _typed(reference.values)
+        assert _typed(instance.values()) == _typed(reference.values)
+        for _ in range(data.draw(st.integers(12, 30), label="steps")):
+            # Mostly pick an enabled control, empty ones first so chains
+            # fill up before their enablers change; sometimes anything
+            # (disabled, no data, unknown).
+            enabled = [name for name in kinds if _enabled(reference, name)]
+            empty = [name for name in enabled if reference.values[name] is None]
+            if empty and data.draw(st.integers(0, 2)):
+                name = data.draw(st.sampled_from(empty))
+            elif enabled and data.draw(st.integers(0, 4)):
+                name = data.draw(st.sampled_from(enabled))
+            else:
+                name = data.draw(st.sampled_from(targets))
+            # Answer empty controls; clear or change answered ones, which
+            # is what starts a cascade of clears; sometimes enter anything,
+            # invalid values included.
+            choice = data.draw(st.integers(0, 4)) if name in kinds else 0
+            if name in empty or choice >= 3:
+                value = data.draw(_ANSWERS[kinds[name]])
+            elif choice:
+                value = None
+            else:
+                value = data.draw(_ANY_VALUE)
+            _, ref_error = _outcome(lambda: reference.set(name, value))
+            _, error = _outcome(lambda: instance.set(name, value))
+            assert error == ref_error, (name, value)
+            assert _typed(instance.values()) == _typed(reference.values), (name, value)
+        assert _outcome(instance.save) == _outcome(reference.save)
+
+
+def _cascade_form() -> Form:
+    return Form(
+        "cascade",
+        "Cascade",
+        controls=[
+            RadioGroup("a", "A", choices=["on", "off"]),
+            TextBox("b", "B", enabled_when="a = 'on'"),
+            TextBox("c", "C", enabled_when="b IS NOT NULL"),
+            TextBox("d", "D", enabled_when="c IS NOT NULL"),
+            NumericBox("e", "E"),
+            NumericBox("f", "F"),
+        ],
+    )
+
+
+def _counting_checks(monkeypatch):
+    checked = []
+    original = FormInstance.is_enabled
+
+    def counted(self, name):
+        checked.append(name)
+        return original(self, name)
+
+    monkeypatch.setattr(FormInstance, "is_enabled", counted)
+    return checked
+
+
+class TestDependencySweep:
+    def test_set_rechecks_only_dependents(self, monkeypatch):
+        instance = FormInstance(_cascade_form(), 1)
+        checked = _counting_checks(monkeypatch)
+        instance.set("e", 4)
+        # The pre-check of "e" itself; nothing reads "e".
+        assert checked == ["e"]
+
+    def test_cascade_clears_in_document_order(self, monkeypatch):
+        instance = FormInstance(_cascade_form(), 1)
+        for name, value in (("a", "on"), ("b", "x"), ("c", "y"), ("d", "z")):
+            instance.set(name, value)
+        checked = _counting_checks(monkeypatch)
+        instance.set("a", "off")
+        assert checked == ["a", "b", "c", "d"]
+        assert instance.values() == {
+            "a": "off", "b": None, "c": None, "d": None, "e": None, "f": None
+        }
+
+    def test_backward_clear_waits_for_the_next_pass(self, monkeypatch):
+        form = Form(
+            "reverse",
+            "Reverse",
+            controls=[
+                TextBox("c0", "C0", enabled_when="c1 IS NOT NULL"),
+                TextBox("c1", "C1", enabled_when="c2 IS NOT NULL"),
+                TextBox("c2", "C2"),
+            ],
+        )
+        instance = FormInstance(form, 1)
+        for name in ("c2", "c1", "c0"):
+            instance.set(name, "x")
+        checked = _counting_checks(monkeypatch)
+        instance.set("c2", None)
+        # Pass one clears c1; c0 sits before it, so pass two clears c0.
+        assert checked == ["c2", "c1", "c0"]
+        assert instance.values() == {"c0": None, "c1": None, "c2": None}
+
+    def test_raise_mid_sweep_falls_back_to_full_sweep(self, monkeypatch):
+        form = Form(
+            "f",
+            "F",
+            controls=[
+                TextBox("a", "A"),
+                NumericBox("n", "N", enabled_when="a IS NULL OR a > 3"),
+                NumericBox("m", "M"),
+            ],
+        )
+        instance = FormInstance(form, 1)
+        instance.set("n", 1)
+        _, error = _outcome(lambda: instance.set("a", "text"))
+        assert error is not None and "cannot order" in error[1]
+        assert instance.values()["n"] == 1
+        checked = _counting_checks(monkeypatch)
+        _, error = _outcome(lambda: instance.set("m", 2))
+        # Unsettled: the full sweep re-checks every control holding data
+        # and raises again at "n".
+        assert checked == ["m", "a", "n"] and error is not None
+
+    def test_opening_screen_is_cached_per_form(self, monkeypatch):
+        form = _cascade_form()
+        FormInstance(form, 1)
+        checked = _counting_checks(monkeypatch)
+        second = FormInstance(form, 2)
+        assert checked == []
+        second.set("e", 1)
+        assert FormInstance(form, 3).values()["e"] is None
+
+    def test_failed_opening_screen_is_not_cached(self):
+        form = Form(
+            "f",
+            "F",
+            controls=[
+                TextBox("a", "A", default="x"),
+                NumericBox("n", "N", default=1, enabled_when="a > 3"),
+            ],
+        )
+        for record_id in (1, 2):
+            _, error = _outcome(lambda: FormInstance(form, record_id))
+            assert error is not None and "cannot order" in error[1]
