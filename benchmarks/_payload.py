@@ -7,8 +7,9 @@ Two concerns the bench scripts used to mishandle:
   to a scratch path (``benchmarks/reports/<name>.latest.json``) unless
   ``--json`` is passed explicitly, which promotes the run to the
   committed baseline (or to the path given after the flag).
-* **Provenance** — payloads record the python version and git commit, so
-  a committed baseline says what produced it.
+* **Provenance** — payloads record the python version, the CPU cores the
+  process may run on, and the git commit, so a committed baseline says
+  what produced it.
 """
 
 from __future__ import annotations
@@ -23,9 +24,20 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 REPORTS_DIR = os.path.join(_HERE, "reports")
 
 
-def environment() -> dict[str, str]:
-    """Provenance stamp: python version plus (when available) git commit."""
-    env = {"python_version": platform.python_version()}
+def available_cores() -> int:
+    """CPU cores this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
+
+
+def environment() -> dict[str, str | int]:
+    """Provenance stamp: python version, cores, and (when available) commit."""
+    env: dict[str, str | int] = {
+        "python_version": platform.python_version(),
+        "cores": available_cores(),
+    }
     try:
         probe = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

@@ -64,15 +64,14 @@ N_VITALS_COLUMNS = 12
 CHAIN_ROWS = 300
 CHAIN_DEPTH = 4
 
-# -- partitioned / parallel (PP) tier ------------------------------------------
-# A million-row tier sized so partition pruning and morsel parallelism are
-# measured where they matter; REPRO_PP_ROWS scales it down for quick local
+# -- partitioned (PP) tier ------------------------------------------------------
+# A million-row tier sized so partition pruning is measured where it
+# matters; REPRO_PP_ROWS scales it down for quick local
 # iterations (the committed baseline is produced at the default).
 PP_ROWS = int(os.environ.get("REPRO_PP_ROWS", "1000000"))
 PP_LAB_ROWS = max(1, PP_ROWS // 4)
 PP_PARTITIONS = 64
 PP_PATIENTS = max(1, PP_ROWS // 500)
-PP_WORKERS = 4
 
 # -- cost-based (CB) tier ------------------------------------------------------
 # Sized so the three cost-based decisions are measured at the scale where
@@ -436,26 +435,13 @@ def _pp_aggregate_plan():
     )
 
 
-def _pp_worker_utilization(plan, db) -> list[dict]:
-    """Per-worker utilization from one traced parallel run of ``plan``."""
-    from repro.obs import explain_analyze
-
-    report = explain_analyze(plan, db, executor="parallel", workers=PP_WORKERS)
-    for _, span in report.node_spans():
-        utilization = span.attrs.get("worker_utilization")
-        if utilization is not None:
-            return list(utilization)
-    return []
-
-
 def run_pp() -> list[dict]:
-    """The PP tier: pruning vs full batch scans, serial vs parallel.
+    """The PP tier: pruning vs full batch scans, plus a full-scan aggregate.
 
     The comparison partner here is NOT the interpreter (at 10^6 rows it
     only inflates speedups); pruning cases are measured against the same
-    predicate on the unpruned batch path, and the parallel aggregate
-    against its own serial batch execution — honest numbers for exactly
-    the change each case isolates.
+    predicate on the unpruned batch path — honest numbers for exactly the
+    change each case isolates.  The aggregate is a wall-time case.
     """
     db = build_pp_database()
     results = []
@@ -484,11 +470,7 @@ def run_pp() -> list[dict]:
 
     agg = optimize(_pp_aggregate_plan(), db)
     serial_rows = agg.execute(db)
-    assert serial_rows == agg.execute(db, parallel=PP_WORKERS), (
-        "parallel aggregate disagrees with serial"
-    )
     serial_s = _time(lambda: agg.execute(db), repeats=3)
-    par_s = _time(lambda: agg.execute(db, parallel=PP_WORKERS), repeats=3)
     results.append(
         {
             "case": "pp_scan_aggregate_serial",
@@ -497,22 +479,8 @@ def run_pp() -> list[dict]:
             "speedup": 1.0,
         }
     )
-    results.append(
-        {
-            "case": f"pp_scan_aggregate_parallel{PP_WORKERS}",
-            "rows_out": len(serial_rows),
-            "baseline_ms": round(serial_s * 1000, 3),
-            "optimized_ms": round(par_s * 1000, 3),
-            # Honest thread-pool number: ~1.0x under the GIL on CPU-bound
-            # kernels; the utilization trace explains where time went.
-            "speedup": round(serial_s / par_s, 2),
-            "workers": PP_WORKERS,
-            "worker_utilization": _pp_worker_utilization(_pp_aggregate_plan(), db),
-        }
-    )
     print(
-        f"{'pp_scan_aggregate':<28} serial     {serial_s * 1000:9.3f} ms   "
-        f"parallel{PP_WORKERS} {par_s * 1000:8.3f} ms   x{serial_s / par_s:6.2f}",
+        f"{'pp_scan_aggregate_serial':<28} batch      {serial_s * 1000:9.3f} ms",
         flush=True,
     )
     return results
@@ -681,223 +649,6 @@ def run_cb() -> list[dict]:
     return results
 
 
-# -- morsel-process (MP) tier --------------------------------------------------
-# Process-pool execution over shared durable segments, measured against the
-# same plan's serial batch execution with a *warm* segment (the cold build
-# is its own case).  On a single-vCPU runner the process numbers honestly
-# sit at or below 1.0x — pickling and queue hops with no second core to pay
-# for them; the auto fallback policy exists precisely because of that — so
-# the committed baseline gates wall-time, never the speedup column.
-MP_ROWS = int(os.environ.get("REPRO_MP_ROWS", "400000"))
-MP_PATIENTS = max(1, MP_ROWS // 200)
-MP_WORKER_STEPS = (1, 2, 4)
-
-
-def build_mp_database() -> Database:
-    db = Database("bench-mp")
-    db.create_table(
-        TableSchema.build(
-            "mp_events",
-            [
-                ("patient_id", DataType.INTEGER),
-                ("day", DataType.INTEGER),
-                ("value", DataType.INTEGER),
-            ],
-        )
-    )
-    db.insert(
-        "mp_events",
-        [
-            {
-                "patient_id": i % MP_PATIENTS,
-                "day": i % 365,
-                "value": (i * 37) % 1000,
-            }
-            for i in range(MP_ROWS)
-        ],
-    )
-    db.create_table(
-        TableSchema.build(
-            "mp_patients",
-            [("patient_id", DataType.INTEGER), ("site", DataType.TEXT)],
-        )
-    )
-    db.insert(
-        "mp_patients",
-        [{"patient_id": i, "site": f"s{i % 7}"} for i in range(MP_PATIENTS)],
-    )
-    return db
-
-
-def _mp_aggregate_plan():
-    return Aggregate(
-        Select(
-            Scan("mp_events"),
-            BinaryOp(">=", Identifier.of("value"), Literal(500)),
-        ),
-        ("day",),
-        (
-            AggregateSpec("COUNT", None, "n"),
-            AggregateSpec("AVG", "value", "mean_value"),
-        ),
-    )
-
-
-def _mp_join_plan():
-    return Join(
-        Select(
-            Scan("mp_events"),
-            BinaryOp("<", Identifier.of("day"), Literal(120)),
-        ),
-        Scan("mp_patients"),
-        (("patient_id", "patient_id"),),
-        how="inner",
-    )
-
-
-def run_mp() -> list[dict]:
-    """The MP tier: process workers over shared segments vs serial batch.
-
-    The pool mode is *forced* to ``process`` for the measured runs (the
-    auto policy would keep sub-50k-row stages on threads), the shared
-    segment is warmed once before timing, and every parallel result is
-    asserted bit-identical to its serial partner before the clock starts.
-    """
-    from repro.relational import available_cores, set_worker_pool_mode
-    from repro.relational.procpool import shutdown_worker_pools
-    from repro.storage.segments import (
-        Segment,
-        segment_scratch_dir,
-        table_segment,
-        write_segment,
-    )
-
-    db = build_mp_database()
-    table = db.table("mp_events")
-    cores = available_cores()
-    results = []
-
-    agg = optimize(_mp_aggregate_plan(), db)
-    serial_rows = agg.execute(db)
-    serial_s = _time(lambda: agg.execute(db), repeats=3)
-    results.append(
-        {
-            "case": "mp_scan_aggregate_serial",
-            "rows_out": len(serial_rows),
-            "optimized_ms": round(serial_s * 1000, 3),
-            "speedup": 1.0,
-            "cores": cores,
-        }
-    )
-    print(
-        f"{'mp_scan_aggregate_serial':<28} serial     {serial_s * 1000:9.3f} ms"
-        f"   ({cores} core{'s' if cores != 1 else ''})",
-        flush=True,
-    )
-
-    set_worker_pool_mode("process")
-    try:
-        table_segment(table)  # warm the shared segment once, off the clock
-        for workers in MP_WORKER_STEPS:
-            assert agg.execute(db, parallel=workers) == serial_rows, (
-                f"mp aggregate proc{workers} disagrees with serial"
-            )
-            par_s = _time(lambda: agg.execute(db, parallel=workers), repeats=3)
-            results.append(
-                {
-                    "case": f"mp_scan_aggregate_proc{workers}",
-                    "rows_out": len(serial_rows),
-                    "baseline_ms": round(serial_s * 1000, 3),
-                    "optimized_ms": round(par_s * 1000, 3),
-                    "speedup": round(serial_s / par_s, 2),
-                    "workers": workers,
-                    "cores": cores,
-                }
-            )
-            print(
-                f"{'mp_scan_aggregate_proc' + str(workers):<28} serial     "
-                f"{serial_s * 1000:9.3f} ms   proc{workers}     "
-                f"{par_s * 1000:9.3f} ms   x{serial_s / par_s:6.2f}",
-                flush=True,
-            )
-
-        join = optimize(_mp_join_plan(), db)
-        join_rows = join.execute(db)
-        join_s = _time(lambda: join.execute(db), repeats=3)
-        assert join.execute(db, parallel=4) == join_rows, (
-            "mp join proc4 disagrees with serial"
-        )
-        jpar_s = _time(lambda: join.execute(db, parallel=4), repeats=3)
-        results.append(
-            {
-                "case": "mp_join_probe_proc4",
-                "rows_out": len(join_rows),
-                "baseline_ms": round(join_s * 1000, 3),
-                "optimized_ms": round(jpar_s * 1000, 3),
-                "speedup": round(join_s / jpar_s, 2),
-                "workers": 4,
-                "cores": cores,
-            }
-        )
-        print(
-            f"{'mp_join_probe_proc4':<28} serial     {join_s * 1000:9.3f} ms   "
-            f"proc4     {jpar_s * 1000:9.3f} ms   x{join_s / jpar_s:6.2f}",
-            flush=True,
-        )
-    finally:
-        set_worker_pool_mode(None)
-        shutdown_worker_pools()
-
-    # Segment amortization: the cold build (columnar encode + CRC frames +
-    # fsync + attach) against the warm full read (mmap page-in only).  The
-    # fixed target path bypasses the uuid scheme on purpose — Segment() is
-    # opened directly, never through the path-keyed attach cache.
-    columns = table.column_snapshot()
-    names = table.schema.column_names
-    dtypes = {name: table.schema.column(name).dtype for name in names}
-    target = segment_scratch_dir() / "bench-mp-cold.seg"
-
-    def cold() -> None:
-        path = write_segment(target, columns, names, dtypes, table="mp_events")
-        Segment(path).close()
-
-    cold_s = _time(cold, repeats=3)
-    target.unlink(missing_ok=True)
-    warm_segment = table_segment(table)
-    warm_s = _time(
-        lambda: sum(batch.length for batch in warm_segment.batches()),
-        repeats=3,
-    )
-    results.append(
-        {
-            "case": "mp_segment_cold",
-            "rows_out": MP_ROWS,
-            "optimized_ms": round(cold_s * 1000, 3),
-            "speedup": 1.0,
-        }
-    )
-    results.append(
-        {
-            "case": "mp_segment_warm",
-            "rows_out": MP_ROWS,
-            "baseline_ms": round(cold_s * 1000, 3),
-            "optimized_ms": round(warm_s * 1000, 3),
-            # Amortization ratio: how many warm reads one cold build buys.
-            "speedup": round(cold_s / warm_s, 2),
-        }
-    )
-    print(
-        f"{'mp_segment_cold':<28} build      {cold_s * 1000:9.3f} ms",
-        flush=True,
-    )
-    print(
-        f"{'mp_segment_warm':<28} cold       {cold_s * 1000:9.3f} ms   "
-        f"warm read {warm_s * 1000:9.3f} ms   x{cold_s / warm_s:6.2f}",
-        flush=True,
-    )
-    return results
-
-
 # -- standalone runner ---------------------------------------------------------
 
 
@@ -947,10 +698,7 @@ def run(json_path: str | None = None) -> list[dict]:
     results.extend(run_pp())
     results.extend(run_zm())
     results.extend(run_cb())
-    results.extend(run_mp())
     if json_path:
-        from repro.relational import available_cores
-
         payload = {
             "benchmark": "relational_core",
             "n_rows": N_ROWS,
@@ -959,10 +707,6 @@ def run(json_path: str | None = None) -> list[dict]:
             "chain_depth": CHAIN_DEPTH,
             "pp_rows": PP_ROWS,
             "pp_partitions": PP_PARTITIONS,
-            "mp_rows": MP_ROWS,
-            # Bench provenance: process-pool speedups only mean anything
-            # relative to the cores the producing machine actually had.
-            "cores": available_cores(),
             "results": results,
         }
         write_payload(json_path, payload)
@@ -1024,13 +768,10 @@ if "pytest" in sys.modules:  # imported by pytest collection
         assert by_case["indexed_lookup"] >= 3.0
         assert by_case[f"pattern_chain_depth{CHAIN_DEPTH}"] >= 1.5
         assert by_case["join_aggregate_vectorized"] >= 3.0
-        # PP tier: pruning must cut scans by an order of magnitude.  The
-        # thread-parallel case is deliberately NOT gated on a speedup —
-        # under the GIL ~1.0x is the honest expectation; the number is
-        # reported, not asserted.
+        # PP tier: pruning must cut scans by an order of magnitude.
         assert by_case["pp_point_pruned"] >= 10.0
         assert by_case["pp_range_pruned"] >= 10.0
-        assert f"pp_scan_aggregate_parallel{PP_WORKERS}" in by_case
+        assert "pp_scan_aggregate_serial" in by_case
         # ZM tier: chunk skipping must dominate a 1/64-selective clustered
         # scan; dictionary-coded grouping must beat value-keyed grouping.
         assert by_case["zm_selective_scan"] >= 5.0

@@ -85,31 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "(explain_analyze) or a compiled study workflow run",
     )
     trace.add_argument(
-        "--parallelism", type=int, default=4, help="workflow threads (default 4)"
-    )
-    trace.add_argument(
         "--batch-size", type=int, default=256, help="workflow batch size (default 256)"
     )
     trace.add_argument(
         "--executor",
-        choices=["row", "batch", "parallel"],
+        choices=["row", "batch"],
         default="batch",
-        help="query execution path: columnar batch kernels (default), "
-        "row-at-a-time streaming, or morsel-parallel batch kernels "
-        "(target query only)",
-    )
-    trace.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="workers for --executor parallel (default 4)",
-    )
-    trace.add_argument(
-        "--pool",
-        choices=["auto", "thread", "process"],
-        default="auto",
-        help="worker pool for --executor parallel: auto (core/size policy), "
-        "thread, or process (forced, shared-segment morsels)",
+        help="query execution path: columnar batch kernels (default) "
+        "or row-at-a-time streaming (target query only)",
     )
     trace.add_argument(
         "--json",
@@ -309,15 +292,7 @@ def _cmd_trace(args) -> int:
         plan = translate_query(
             GTreeQuery(source.gtree(ec.form)).where(ec.condition), source.chain
         )
-        from repro.relational import set_worker_pool_mode
-
-        set_worker_pool_mode(args.pool)
-        try:
-            report = explain_analyze(
-                plan, source.db, executor=args.executor, workers=args.workers
-            )
-        finally:
-            set_worker_pool_mode(None)
+        report = explain_analyze(plan, source.db, executor=args.executor)
         tracer: Tracer = report.tracer
         stats_db = source.db
         traced_plan = report.plan
@@ -330,7 +305,7 @@ def _cmd_trace(args) -> int:
             build_cohort_study("trace", world, STUDY1_ELEMENTS), Database("warehouse")
         )
         with tracing() as tracer:
-            workflow.run(parallelism=args.parallelism, batch_size=args.batch_size)
+            workflow.run(batch_size=args.batch_size)
         stats_db = None
         traced_plan = None
     if args.flame:

@@ -103,7 +103,7 @@ class Extract(Component):
         self.expects(0, inputs)
         return self.plan.execute(self.db)
 
-    def stream_chunks(self, batch_size: int | None):
+    def stream_chunks(self, batch_size: int):
         """Yield result chunks lazily (rows are fresh — chains own them).
 
         The streaming path runs the plan through the relational optimizer
@@ -113,10 +113,6 @@ class Extract(Component):
         plan = self._optimized_plan()
         rows = plan.stream(ExecContext(self.db))
         copy = plan.shares_storage()
-        if batch_size is None:
-            chunk = [dict(row) for row in rows] if copy else list(rows)
-            yield chunk
-            return
         chunk: Chunk = []
         for row in rows:
             chunk.append(dict(row) if copy else row)

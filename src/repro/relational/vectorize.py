@@ -138,12 +138,6 @@ class Vectorized(Plan):
         return (self.child,)
 
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        if ctx.parallel is not None:
-            # Route to the morsel-parallel executor; lazy import because
-            # parallel.py builds on this module's kernels.
-            from repro.relational.parallel import execute_parallel
-
-            return iter(execute_parallel(self.child, ctx, annotate=self))
         return iter(execute_vectorized(self.child, ctx))
 
     def shares_storage(self) -> bool:
@@ -614,9 +608,7 @@ class JoinBuild:
     Constructed once per execution: validates the join, keys the whole
     right input into buckets (payloads as value tuples, zip-transposed per
     batch so there is no per-row tuple comprehension).  :meth:`probe` is
-    read-only on the build state afterwards, so the morsel-parallel
-    executor shares one build across worker threads and probes left
-    morsels concurrently.
+    read-only on the build state afterwards.
     """
 
     __slots__ = (
@@ -702,8 +694,7 @@ class JoinBuild:
         """Join one probe-side batch against the build; None when empty.
 
         Gathers output columns by index lists instead of merging dicts per
-        match.  Pure with respect to build state — safe to call from
-        multiple threads once the build is complete.
+        match.  Pure with respect to build state.
         """
         get = self.buckets.get
         id_types = _IDENTITY_KEY_TYPES
@@ -811,10 +802,6 @@ class JoinBuildLeft:
     same columns, same batch boundaries.  The optimizer only selects this
     path when the left subtree provably cannot raise, so consuming the
     left side first never changes which error surfaces.
-
-    :meth:`collect` is read-only on build state, so the morsel-parallel
-    executor probes right morsels concurrently and absorbs the pair lists
-    serially in morsel order.
     """
 
     __slots__ = (
@@ -898,13 +885,11 @@ class JoinBuildLeft:
                     else:
                         bucket.append(offset + i)
 
-    def collect(self, rbatch: Batch) -> list[tuple[int, tuple[object, ...]]]:
-        """(left position, payload) pairs for one right batch, in row order.
-
-        Pure with respect to build state — safe to call from multiple
-        threads once the left side is fully added.
-        """
+    def add_right(self, rbatch: Batch) -> None:
+        """Record one right batch's matches; call in right-stream order."""
         get = self.positions.get
+        matches = self.matches
+        matches_get = matches.get
         id_types = _IDENTITY_KEY_TYPES
         rks = [rk for _, rk in self.on]
         # Payload tuples are built per *matched* row, not batch-wide: the
@@ -912,18 +897,24 @@ class JoinBuildLeft:
         # so an eager transpose would pay for rows that never join.
         pcols = [rbatch.column(c) for c in self.payload_cols]
         empty = ()
-        pairs: list[tuple[int, tuple[object, ...]]] = []
-        append = pairs.append
+
+        def record(i: int, bucket: list[int]) -> None:
+            payload = tuple(c[i] for c in pcols) if pcols else empty
+            for pos in bucket:
+                matched = matches_get(pos)
+                if matched is None:
+                    matches[pos] = [payload]
+                else:
+                    matched.append(payload)
+
         if self.single:
             kcol = _gather(rbatch, rks[0])
             if set(map(type, kcol)) <= id_types:
                 for i, key in enumerate(kcol):
                     bucket = get(key)
                     if bucket:
-                        payload = tuple(c[i] for c in pcols) if pcols else empty
-                        for pos in bucket:
-                            append((pos, payload))
-                return pairs
+                        record(i, bucket)
+                return
             for i, key in enumerate(kcol):
                 if key is None:
                     continue
@@ -931,9 +922,7 @@ class JoinBuildLeft:
                     key = canonical_key(key)
                 bucket = get(key)
                 if bucket:
-                    payload = tuple(c[i] for c in pcols) if pcols else empty
-                    for pos in bucket:
-                        append((pos, payload))
+                    record(i, bucket)
         else:
             kcols = [_gather(rbatch, rk) for rk in rks]
             for i, kraw in enumerate(zip(*kcols)):
@@ -944,24 +933,7 @@ class JoinBuildLeft:
                     continue
                 bucket = get(key)
                 if bucket:
-                    payload = tuple(c[i] for c in pcols) if pcols else empty
-                    for pos in bucket:
-                        append((pos, payload))
-        return pairs
-
-    def absorb(self, pairs: list[tuple[int, tuple[object, ...]]]) -> None:
-        """Merge one right batch's pairs; call in right-stream order."""
-        matches = self.matches
-        get = matches.get
-        for pos, payload in pairs:
-            bucket = get(pos)
-            if bucket is None:
-                matches[pos] = [payload]
-            else:
-                bucket.append(payload)
-
-    def add_right(self, rbatch: Batch) -> None:
-        self.absorb(self.collect(rbatch))
+                    record(i, bucket)
 
     def emit(self) -> Iterator[Batch]:
         """Left-major emission: one output batch per non-empty left batch.
@@ -1025,10 +997,8 @@ class GroupedAggregation:
     Holds per-group ``[row_count, values-per-spec...]`` states; values
     lists feed the shared ``_aggregate_values`` finalizer, so results match
     the row paths exactly (including ``sum()`` over the same value
-    sequence).  The serial kernel consumes every batch into one instance;
-    the morsel-parallel executor consumes each morsel into its own and
-    merges them in morsel order — first-seen group order and per-group
-    value order are then identical to the serial pass by construction.
+    sequence).  The kernel consumes every batch into one instance, in
+    stream order, so first-seen group order matches the row paths.
     """
 
     __slots__ = (
@@ -1050,8 +1020,8 @@ class GroupedAggregation:
         self.representatives: dict[object, tuple[object, ...]] = {}
         # (dictionary, code → group state|None) for the single-key coded
         # path: replaces one string hash + dict probe per row with a list
-        # index.  Group keys stay the decoded strings, so merge/finalize
-        # (and interleaving with un-coded batches) are unaffected.
+        # index.  Group keys stay the decoded strings, so finalize (and
+        # interleaving with un-coded batches) is unaffected.
         self._code_groups: tuple[object, list] | None = None
 
     def consume(self, batch: Batch) -> None:
@@ -1171,36 +1141,6 @@ class GroupedAggregation:
                     value = col[i]
                     if value is not None:
                         state[j].append(value)
-
-    def __getstate__(self) -> dict[str, object]:
-        # Partial aggregation states cross the process boundary (worker →
-        # parent merge); drop the coded-path cache — it holds references
-        # to worker-side Dictionary objects and is rebuilt on demand.
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_code_groups"
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._code_groups = None
-
-    def merge(self, other: "GroupedAggregation") -> None:
-        """Fold ``other``'s partial state into this one (in morsel order)."""
-        groups = self.groups
-        for key in other.order:
-            incoming = other.groups[key]
-            state = groups.get(key)
-            if state is None:
-                groups[key] = incoming
-                self.order.append(key)
-                self.representatives[key] = other.representatives[key]
-            else:
-                state[0] += incoming[0]
-                for j in range(1, len(state)):
-                    state[j].extend(incoming[j])
 
     def finalize(self, columns: tuple[str, ...]) -> Iterator[Batch]:
         """Yield the result batch (``columns`` pre-deduped, see kernel)."""

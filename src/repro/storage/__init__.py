@@ -14,7 +14,7 @@ makes a database survive process death.  Three pieces:
   two together: recovery loads the latest valid snapshot and replays the
   WAL suffix up to the last commit, restoring table versions, index and
   partition epochs, the structural counter, GUAVA change feeds, and
-  warehouse lineage exactly — all four executors produce bit-identical
+  warehouse lineage exactly — every executor produces bit-identical
   results on a recovered database.
 """
 

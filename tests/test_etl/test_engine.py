@@ -1,9 +1,9 @@
-"""Equivalence tests for the batched/parallel ETL engine.
+"""Equivalence tests for the batched ETL engine.
 
 The serial path (``Workflow.run()`` with default arguments) is the
-oracle: every engine configuration — batched, parallel, or both — must
-produce row-identical outputs, identical quarantine contents, identical
-warehouse tables, and identical per-step row counts.
+oracle: every batch size must produce row-identical outputs, identical
+quarantine contents, identical warehouse tables, and identical per-step
+row counts.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import build_study2
+from repro.errors import WorkflowError
 from repro.clinical import build_world
 from repro.etl import compile_study
 from repro.etl.workflow import RunReport, StepRun
@@ -68,9 +69,10 @@ def table_dump(db: Database) -> dict:
 ENGINE_CONFIGS = [
     {"batch_size": 64},
     {"batch_size": 7},
-    {"parallelism": 4},
-    {"parallelism": 2, "batch_size": 32},
-    {"parallelism": 3, "batch_size": 1},
+    # Larger than any step's input: every unit streams a single chunk.
+    {"batch_size": 100_000},
+    {"batch_size": 32},
+    {"batch_size": 1},
 ]
 
 
@@ -102,8 +104,27 @@ class TestEngineEquivalence:
         assert table_dump(warehouse) == table_dump(oracle[3])
 
     def test_step_order_in_report_matches_serial(self, cleaned_study, oracle):
-        _, report, _, _ = run_study(cleaned_study, parallelism=4, batch_size=16)
+        _, report, _, _ = run_study(cleaned_study, batch_size=16)
         assert [r.step for r in report.steps] == [r.step for r in oracle[1].steps]
+
+    def test_units_run_in_topological_order(self, cleaned_study):
+        workflow = compile_study(cleaned_study, Database("wh"))
+        units = workflow._fuse()
+        fused = [step.name for unit in units for step in unit.steps]
+        assert sorted(fused) == sorted(step.name for step in workflow.steps)
+        produced: set[str] = set()
+        for unit in units:
+            assert all(name in produced for name in unit.head.inputs)
+            for previous, step in zip(unit.steps, unit.steps[1:]):
+                assert step.inputs == (previous.name,)
+            produced.add(unit.tail.name)
+
+    def test_out_of_order_unit_is_refused(self, cleaned_study):
+        workflow = compile_study(cleaned_study, Database("wh"))
+        units = workflow._fuse()
+        workflow._fuse = lambda: units[::-1]
+        with pytest.raises(WorkflowError, match="before its inputs"):
+            workflow.run(batch_size=8)
 
 
 class TestRunArguments:
@@ -111,15 +132,6 @@ class TestRunArguments:
         outputs, report, _, _ = run_study(cleaned_study)
         assert outputs and report.steps
 
-    def test_parallelism_one_is_serial(self, cleaned_study, small_world):
-        a, _, _, _ = run_study(cleaned_study)
-        b, _, _, _ = run_study(cleaned_study, parallelism=1)
-        assert a == b
-
-    def test_zero_parallelism_clamped(self, cleaned_study):
-        outputs, _, _, _ = run_study(cleaned_study, parallelism=0, batch_size=8)
-        oracle, _, _, _ = run_study(cleaned_study)
-        assert outputs == oracle
 
 
 class TestReportSummary:

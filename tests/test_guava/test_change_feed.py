@@ -11,9 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.relational.schema import Column, TableSchema
-from repro.relational.snapshot import database_version
 from repro.relational.types import DataType
-from repro.relational.database import Database
+from repro.relational.database import Database, database_version
 
 from tests.conftest import enter_fig2_records
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pathlib
 
+from benchmarks._payload import environment
 from benchmarks.check_regression import (
     DEFAULT_THRESHOLD,
     REQUIRED_CASES,
@@ -107,7 +108,7 @@ class TestRequiredCases:
         assert "pp_point_pruned" in REQUIRED_CASES["relational_core"]
         problems = missing_required("relational_core", BASELINE)
         assert "pp_point_pruned" in problems
-        assert "pp_scan_aggregate_parallel4" in problems
+        assert "pp_scan_aggregate_serial" in problems
 
     def test_gate_fails_on_baseline_missing_required_cases(self):
         stripped = {"benchmark": "relational_core", "results": BASELINE["results"]}
@@ -132,3 +133,9 @@ class TestRequiredCases:
 
     def test_unknown_benchmarks_have_no_floor(self):
         assert missing_required("synthetic", BASELINE) == []
+
+
+class TestPayloadProvenance:
+    def test_environment_reports_cores(self):
+        cores = environment()["cores"]
+        assert isinstance(cores, int) and cores >= 1

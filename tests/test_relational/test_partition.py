@@ -26,9 +26,8 @@ from repro.relational import (
     TableSchema,
     execute_interpreted,
     optimize,
-    save_database,
-    load_database,
 )
+from repro.storage import load_snapshot, write_snapshot
 
 
 def _contains(plan: Plan, node_type: type) -> bool:
@@ -182,9 +181,7 @@ class TestMaintenance:
 
     def test_snapshot_round_trips_partitioning(self, tmp_path):
         db = _range_db()
-        path = tmp_path / "db.json"
-        save_database(db, path)
-        loaded = load_database(path)
+        loaded, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=1))
         scheme = loaded.table("labs").partitioning
         assert isinstance(scheme, RangePartitioning)
         assert scheme.boundaries == (10, 20, 30)

@@ -130,7 +130,6 @@ class TestRecoveredExecution:
             expected = execute_interpreted(plan, db)
             assert prepare_stream_plan(plan, db).execute(db) == expected
             assert optimize(plan, db).execute(db) == expected
-            assert plan.execute(db, parallel=2) == expected
         finally:
             store.close()
 

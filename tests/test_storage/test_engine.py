@@ -88,7 +88,7 @@ class TestReopenFidelity:
         ) == expected
         reopened.close()
 
-    def test_all_four_executors_agree_on_recovered_db(self, tmp_path):
+    def test_all_executors_agree_on_recovered_db(self, tmp_path):
         store = DurableStore(tmp_path)
         _populate(store)
         plan = (
@@ -104,7 +104,6 @@ class TestReopenFidelity:
         assert execute_interpreted(plan, db) == expected
         assert prepare_stream_plan(plan, db).execute(db) == expected
         assert optimize(plan, db).execute(db) == expected
-        assert plan.execute(db, parallel=2) == expected
 
     def test_close_without_commit_discards_uncommitted_tail(self, tmp_path):
         store = DurableStore(tmp_path)
