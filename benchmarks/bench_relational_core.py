@@ -1,8 +1,8 @@
-"""Core-engine microbenchmarks: streaming/compiled/optimized vs interpreted.
+"""Core-engine microbenchmarks: batch/compiled/optimized vs interpreted.
 
 Times the relational substrate's hot paths twice per case — once through
-``optimize(plan, db).execute(db)`` (streaming operators, compiled
-predicates, index lowering) and once through
+``optimize(plan, db).execute(db)`` (batch kernels, compiled predicates,
+index lowering) and once through
 :func:`repro.relational.interpret.execute_interpreted`, the seed executor
 preserved as the reference implementation.  The speedup column is therefore
 an honest before/after of this engine revision, measured in-process.
@@ -51,7 +51,6 @@ from repro.relational import (
     Select,
     Sort,
     TableSchema,
-    Vectorized,
     execute_interpreted,
     optimize,
     set_costing_enabled,
@@ -448,7 +447,7 @@ def run_pp() -> list[dict]:
 
     for name, plan in (("pp_point_pruned", _pp_point_plan()), ("pp_range_pruned", _pp_range_plan())):
         pruned = optimize(plan, db)
-        unpruned = Vectorized(plan)
+        unpruned = plan  # the same predicate over the full batch scan
         rows = pruned.execute(db)
         assert rows == unpruned.execute(db), f"{name}: pruned and unpruned disagree"
         base_s = _time(lambda: unpruned.execute(db), repeats=3)
@@ -514,7 +513,7 @@ def _zm_chunks_skipped(plan, db) -> int:
     """chunks_skipped from one traced batch run of ``plan``."""
     from repro.obs import explain_analyze
 
-    report = explain_analyze(plan, db, executor="batch")
+    report = explain_analyze(plan, db)
     for _, span in report.node_spans():
         skipped = span.attrs.get("chunks_skipped")
         if skipped is not None:
@@ -536,17 +535,16 @@ def run_zm() -> list[dict]:
         ("zm_groupby_dict", _zm_groupby_plan()),
     )
     for name, plan in cases:
-        vectorized = Vectorized(plan)
-        rows = vectorized.execute(db)  # also warms the version-keyed caches
+        rows = plan.execute(db)  # also warms the version-keyed caches
         previous = set_statistics_enabled(False)
         try:
-            assert rows == vectorized.execute(db), (
+            assert rows == plan.execute(db), (
                 f"{name}: stats-on and stats-off disagree"
             )
-            base_s = _time(lambda: vectorized.execute(db), repeats=3)
+            base_s = _time(lambda: plan.execute(db), repeats=3)
         finally:
             set_statistics_enabled(previous)
-        fast_s = _time(lambda: vectorized.execute(db), repeats=3)
+        fast_s = _time(lambda: plan.execute(db), repeats=3)
         result = {
             "case": name,
             "rows_out": len(rows),
@@ -758,7 +756,7 @@ if "pytest" in sys.modules:  # imported by pytest collection
 
         rows = benchmark.pedantic(run, rounds=1, iterations=1)
         emit_report(
-            "core engine — streaming/compiled/optimized vs interpreted",
+            "core engine — batch/compiled/optimized vs interpreted",
             rows,
             notes="interpreted = seed executor preserved in "
             "repro.relational.interpret; same plans, same databases",

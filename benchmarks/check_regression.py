@@ -1,16 +1,19 @@
 """CI benchmark-regression gate over the committed BENCH_*.json baselines.
 
-Re-runs the two headline benchmarks in-process and fails (exit 1) when
-any headline metric — a case's ``optimized_ms``/``ms`` — regresses more
-than the threshold (default 25%) against its committed baseline.  CI
-jitter is tolerated by taking the best of N runs (default 3) per case
-before comparing; a case present in the baseline but missing from the
-current run also fails the gate.
+Re-runs each gated benchmark and fails (exit 1) when any headline
+metric — a case's ``optimized_ms``/``ms`` — regresses more than the
+threshold (default 25%) against its committed baseline.  CI jitter is
+tolerated by taking the best of N runs (default 3) per case before
+comparing; a case present in the baseline but missing from the current
+run also fails the gate.  Every run executes in a fresh interpreter, so
+one benchmark's caches (the 10^6-row database ``bench_relational_core``
+keeps alive) cannot slow down the benchmark measured after it.
 
 Usage (from the repo root, ``PYTHONPATH=src``)::
 
     python benchmarks/check_regression.py \\
-        BENCH_relational_core.json BENCH_etl_pipeline.json --runs 3
+        BENCH_relational_core.json BENCH_etl_pipeline.json \\
+        BENCH_durability.json --runs 3
 
 The comparison logic (``merge_best``/``compare``/``gate``) is pure and
 takes an injectable runner, so tests can prove the gate trips on a
@@ -20,7 +23,10 @@ synthetic 2x slowdown without timing anything.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from typing import Any, Callable, Sequence
 
 DEFAULT_THRESHOLD = 1.25
@@ -131,28 +137,50 @@ def gate(
     return failures
 
 
+#: Benchmark name → the module in this directory whose ``run()`` produces it.
+BENCHMARK_MODULES = {
+    "relational_core": "bench_relational_core",
+    "etl_pipeline": "bench_etl_pipeline",
+    "durability": "bench_durability",
+}
+
+_BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+
+# argv: [directory holding the module, module name, JSON output path]
+_CHILD = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+results = __import__(sys.argv[2]).run()
+with open(sys.argv[3], "w") as handle:
+    json.dump(results, handle, default=str)
+"""
+
+
+def run_in_fresh_process(module: str, directory: str = _BENCH_DIR) -> list[dict]:
+    """``module.run()``'s result rows, computed in a new interpreter.
+
+    The child inherits the environment (``PYTHONPATH``) and the working
+    directory; its progress output goes to this process's stdout.
+    """
+    with tempfile.TemporaryDirectory() as scratch:
+        out_path = os.path.join(scratch, "results.json")
+        subprocess.run(
+            [sys.executable, "-c", _CHILD, directory, module, out_path], check=True
+        )
+        with open(out_path) as handle:
+            return json.load(handle)
+
+
 def _run_benchmark(name: str) -> dict[str, float]:
-    """Execute one benchmark in-process and return its headline metrics."""
-    if name == "relational_core":
-        import bench_relational_core
-
-        results = bench_relational_core.run()
-    elif name == "etl_pipeline":
-        import bench_etl_pipeline
-
-        results = bench_etl_pipeline.run()
-    elif name == "durability":
-        import bench_durability
-
-        results = bench_durability.run()
-    else:
+    """Execute one benchmark in a fresh process; return its headline metrics."""
+    module = BENCHMARK_MODULES.get(name)
+    if module is None:
         raise SystemExit(f"unknown benchmark {name!r}")
-    return headline_metrics({"results": results})
+    return headline_metrics({"results": run_in_fresh_process(module)})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     import argparse
-    import os
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -174,7 +202,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     baselines: dict[str, Payload] = {}
     for path in args.baselines:
         with open(path) as handle:

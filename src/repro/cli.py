@@ -88,13 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=256, help="workflow batch size (default 256)"
     )
     trace.add_argument(
-        "--executor",
-        choices=["row", "batch"],
-        default="batch",
-        help="query execution path: columnar batch kernels (default) "
-        "or row-at-a-time streaming (target query only)",
-    )
-    trace.add_argument(
         "--json",
         dest="json_path",
         default=None,
@@ -292,7 +285,7 @@ def _cmd_trace(args) -> int:
         plan = translate_query(
             GTreeQuery(source.gtree(ec.form)).where(ec.condition), source.chain
         )
-        report = explain_analyze(plan, source.db, executor=args.executor)
+        report = explain_analyze(plan, source.db)
         tracer: Tracer = report.tracer
         stats_db = source.db
         traced_plan = report.plan

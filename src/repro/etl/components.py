@@ -35,7 +35,7 @@ from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
 from repro.multiclass.classifier import Classifier
 from repro.multiclass.domain import Domain
-from repro.relational.algebra import ExecContext, Plan
+from repro.relational.algebra import Plan, Scan
 from repro.relational.database import Database
 from repro.relational.schema import TableSchema
 
@@ -101,34 +101,37 @@ class Extract(Component):
 
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(0, inputs)
-        return self.plan.execute(self.db)
+        return self._fresh_rows(self.plan)
 
     def stream_chunks(self, batch_size: int):
-        """Yield result chunks lazily (rows are fresh — chains own them).
+        """Yield result chunks of at most ``batch_size`` fresh rows.
 
-        The streaming path runs the plan through the relational optimizer
+        The batched path runs the plan through the relational optimizer
         (cached per component); the serial :meth:`run` keeps executing the
         plan exactly as compiled, preserving the oracle's cost profile.
         """
-        plan = self._optimized_plan()
-        rows = plan.stream(ExecContext(self.db))
-        copy = plan.shares_storage()
-        chunk: Chunk = []
-        for row in rows:
-            chunk.append(dict(row) if copy else row)
-            if len(chunk) >= batch_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
+        rows = self._fresh_rows(self._optimized_plan())
+        for start in range(0, len(rows), batch_size):
+            yield rows[start : start + batch_size]
+
+    def _fresh_rows(self, plan: Plan) -> list[Row]:
+        """Execute ``plan``; rows are the caller's to mutate.
+
+        Downstream steps may extend rows in place, so the shared read-only
+        snapshot rows a bare ``Scan`` returns are copied here.
+        """
+        rows = plan.execute(self.db)
+        if type(plan) is Scan:
+            return [dict(row) for row in rows]
+        return rows
 
     def _optimized_plan(self) -> Plan:
-        cached = getattr(self, "_stream_plan", None)
+        cached = getattr(self, "_prepared_plan", None)
         if cached is None:
             from repro.relational.query import prepare_stream_plan
 
             cached = prepare_stream_plan(self.plan, self.db)
-            self._stream_plan = cached
+            self._prepared_plan = cached
         return cached
 
 

@@ -19,12 +19,13 @@ Two execution paths share one DAG:
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import WorkflowError
 from repro.etl.components import Component, Extract, Row, UnionInputs
-from repro.obs.trace import Span, current_tracer
+from repro.obs.trace import Span, Tracer, current_tracer
 
 
 @dataclass
@@ -182,18 +183,37 @@ class Workflow:
         return self._run_engine(batch_size)
 
     def _run_serial(self) -> tuple[dict[str, list[Row]], RunReport]:
+        tracer = current_tracer()
+        if tracer is None:
+            return self._serial_steps(None)
+        with tracer.span(
+            f"workflow:{self.name}", mode="serial", steps=len(self._steps)
+        ) as root:
+            outputs, report = self._serial_steps(tracer)
+        report.trace = root
+        return outputs, report
+
+    def _serial_steps(
+        self, tracer: Tracer | None
+    ) -> tuple[dict[str, list[Row]], RunReport]:
+        """Run every step in order; under a tracer each gets a live span,
+        so spans its component opens (an extract's query) nest inside it."""
         results: dict[str, list[Row]] = {}
         report = RunReport()
-        tracer = current_tracer()
-        root: Span | None = None
-        run_started = time.perf_counter()
         for step in self._steps.values():  # insertion order is topological
             inputs = [results[name] for name in step.inputs]
-            started = time.perf_counter()
-            rows = step.component.run(inputs)
-            elapsed = time.perf_counter() - started
-            results[step.name] = rows
             rows_in = sum(len(rows_in) for rows_in in inputs)
+            if tracer is None:
+                started = time.perf_counter()
+                rows = step.component.run(inputs)
+                elapsed = time.perf_counter() - started
+            else:
+                with tracer.span(f"step:{step.name}", stage=step.stage) as step_span:
+                    rows = step.component.run(inputs)
+                step_span.set("rows_in", rows_in)
+                step_span.set("rows_out", len(rows))
+                elapsed = step_span.duration_s
+            results[step.name] = rows
             report.steps.append(
                 StepRun(
                     step=step.name,
@@ -203,23 +223,6 @@ class Workflow:
                     seconds=elapsed,
                 )
             )
-            if tracer is not None:
-                if root is None:
-                    root = Span(f"workflow:{self.name}", attrs={"mode": "serial"})
-                step_span = root.child(
-                    f"step:{step.name}",
-                    stage=step.stage,
-                    rows_in=rows_in,
-                    rows_out=len(rows),
-                )
-                step_span.duration_s = elapsed
-        if tracer is not None:
-            if root is None:
-                root = Span(f"workflow:{self.name}", attrs={"mode": "serial"})
-            root.attrs["steps"] = len(self._steps)
-            root.duration_s = time.perf_counter() - run_started
-            tracer.attach(root)
-            report.trace = root
         outputs = {name: results[name] for name in self.outputs} if self.outputs else results
         return outputs, report
 
@@ -260,18 +263,29 @@ class Workflow:
         self, batch_size: int
     ) -> tuple[dict[str, list[Row]], RunReport]:
         units = self._fuse()
+        tracer = current_tracer()
+        if tracer is None:
+            return self._engine_units(units, batch_size, None)
+        with tracer.span(
+            f"workflow:{self.name}",
+            mode="engine",
+            batch_size=batch_size,
+            units=len(units),
+        ) as root:
+            outputs, report = self._engine_units(units, batch_size, tracer)
+        report.trace = root
+        return outputs, report
+
+    def _engine_units(
+        self, units: list[_Unit], batch_size: int, tracer: Tracer | None
+    ) -> tuple[dict[str, list[Row]], RunReport]:
+        """Run the fused units in order; under a tracer each unit and its
+        steps get live spans, and the head step's work (an extract's
+        query) runs inside its step span."""
         order = {name: index for index, name in enumerate(self._steps)}
         results: dict[str, list[Row]] = {}
         stats = {name: _StepStats() for name in self._steps}
         commits: list[tuple[int, Callable[[], None]]] = []
-        tracer = current_tracer()
-        root: Span | None = None
-        if tracer is not None:
-            root = Span(
-                f"workflow:{self.name}",
-                attrs={"mode": "engine", "batch_size": batch_size, "units": len(units)},
-            )
-        run_started = time.perf_counter()
 
         for unit in units:
             # _fuse emits units in head insertion order and add() only
@@ -282,37 +296,45 @@ class Workflow:
                     f"workflow {self.name!r}: unit {unit.tail.name!r} scheduled "
                     f"before its inputs {missing}"
                 )
-            started_s = time.perf_counter()
-            chunks, owned, tail_ops = self._open_unit(unit, results, stats, batch_size)
-            for step, op in tail_ops:
-                if op.commit is not None:
-                    commits.append((order[step.name], op.commit))
-            out: list[Row] = []
-            batches = 0
-            for chunk in chunks:
-                batches += 1
-                chunk_owned = owned
+            with _span(tracer, f"unit:{unit.tail.name}") as unit_span:
+                step_spans = {
+                    step.name: unit_span.child(f"step:{step.name}", stage=step.stage)
+                    for step in unit.steps
+                    if unit_span is not None
+                }
+                head_span = step_spans.get(unit.head.name)
+                chunks, owned, tail_ops = self._open_unit(
+                    unit,
+                    results,
+                    stats,
+                    batch_size,
+                    lambda: _resumed(tracer, head_span),
+                )
                 for step, op in tail_ops:
-                    step_stats = stats[step.name]
-                    step_stats.rows_in += len(chunk)
-                    started = time.perf_counter()
-                    chunk, chunk_owned = op.transform(chunk, chunk_owned)
-                    step_stats.seconds += time.perf_counter() - started
-                    step_stats.rows_out += len(chunk)
-                out.extend(chunk)
-            results[unit.tail.name] = out
-            if root is not None:
-                unit_span = root.child(f"unit:{unit.tail.name}", batches=batches)
-                unit_span.duration_s = time.perf_counter() - started_s
-                for step in unit.steps:
-                    step_stats = stats[step.name]
-                    step_span = unit_span.child(
-                        f"step:{step.name}",
-                        stage=step.stage,
-                        rows_in=step_stats.rows_in,
-                        rows_out=step_stats.rows_out,
-                    )
-                    step_span.duration_s = step_stats.seconds
+                    if op.commit is not None:
+                        commits.append((order[step.name], op.commit))
+                out: list[Row] = []
+                batches = 0
+                for chunk in chunks:
+                    batches += 1
+                    chunk_owned = owned
+                    for step, op in tail_ops:
+                        step_stats = stats[step.name]
+                        step_stats.rows_in += len(chunk)
+                        started = time.perf_counter()
+                        chunk, chunk_owned = op.transform(chunk, chunk_owned)
+                        step_stats.seconds += time.perf_counter() - started
+                        step_stats.rows_out += len(chunk)
+                    out.extend(chunk)
+                results[unit.tail.name] = out
+                if unit_span is not None:
+                    unit_span.set("batches", batches)
+                    for step in unit.steps:
+                        step_stats = stats[step.name]
+                        step_span = step_spans[step.name]
+                        step_span.set("rows_in", step_stats.rows_in)
+                        step_span.set("rows_out", step_stats.rows_out)
+                        step_span.duration_s = step_stats.seconds
 
         for _, commit in sorted(commits, key=lambda entry: entry[0]):
             commit()
@@ -329,10 +351,6 @@ class Workflow:
                 for step in self._steps.values()
             ]
         )
-        if tracer is not None and root is not None:
-            root.duration_s = time.perf_counter() - run_started
-            tracer.attach(root)
-            report.trace = root
         outputs = (
             {name: results[name] for name in self.outputs}
             if self.outputs
@@ -340,12 +358,13 @@ class Workflow:
         )
         return outputs, report
 
-    def _open_unit(self, unit, results, stats, batch_size):
+    def _open_unit(self, unit, results, stats, batch_size, within_head):
         """The unit's input chunk iterator, its ownership, and its tail ops.
 
         The head step either streams (Extract), concatenates borrowed
         chunks (UnionInputs), joins the tail as its first stream op
         (streamable unary components), or falls back to ``run()``.
+        ``within_head()`` is the context the head's own work runs in.
         """
         head = unit.head
         component = head.component
@@ -354,13 +373,16 @@ class Workflow:
 
         def counted(chunks, owned):
             def generate():
-                started = time.perf_counter()
-                for chunk in chunks:
+                iterator = iter(chunks)
+                while True:
+                    started = time.perf_counter()
+                    with within_head():
+                        chunk = next(iterator, None)
                     head_stats.seconds += time.perf_counter() - started
+                    if chunk is None:
+                        return
                     head_stats.rows_out += len(chunk)
                     yield chunk
-                    started = time.perf_counter()
-                head_stats.seconds += time.perf_counter() - started
 
             return generate(), owned, tail
 
@@ -389,7 +411,8 @@ class Workflow:
         inputs = [results[name] for name in head.inputs]
         head_stats.rows_in = sum(len(rows) for rows in inputs)
         started = time.perf_counter()
-        rows = component.run(inputs)
+        with within_head():
+            rows = component.run(inputs)
         head_stats.seconds += time.perf_counter() - started
         head_stats.rows_out = len(rows)
         return _chunks(rows, batch_size), False, tail
@@ -428,6 +451,18 @@ class Workflow:
 
     def __len__(self) -> int:
         return len(self._steps)
+
+
+def _span(tracer: Tracer | None, name: str):
+    """A live span under ``tracer``; yields None when not tracing."""
+    return nullcontext() if tracer is None else tracer.span(name)
+
+
+def _resumed(tracer: Tracer | None, span: Span | None):
+    """``span`` made current, so spans opened meanwhile nest under it."""
+    if tracer is None or span is None:
+        return nullcontext()
+    return tracer.resume(span)
 
 
 def _chunks(rows: list[Row], batch_size: int):

@@ -244,8 +244,8 @@ class GuavaSource:
             # re-extraction.
             plan = prepare_stream_plan(Select(plan, membership), self.db)
             return plan.execute(self.db)
-        # Passing the database unlocks index lowering, the vectorize pass,
-        # and the plan cache — pattern-chain pulls re-translate structurally
+        # Passing the database unlocks index lowering, the cost-based
+        # choices, and the plan cache — pattern-chain pulls re-translate structurally
         # identical plans, so repeat executions skip lowering entirely.
         return optimize(plan, self.db).execute(self.db)
 

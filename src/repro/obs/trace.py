@@ -1,6 +1,6 @@
 """Span-based tracing: the engine's zero-dependency observability core.
 
-A :class:`Span` is one timed region of work — a plan node's streaming, an
+A :class:`Span` is one timed region of work — a plan node's batches, an
 optimizer pass, an ETL step — carrying counters/gauges (``attrs``), point
 events, and child spans.  A :class:`Tracer` collects spans into trees.
 
@@ -33,7 +33,7 @@ one line per span path weighted by self time in microseconds.
 from __future__ import annotations
 
 import json
-from contextlib import AbstractContextManager
+from contextlib import AbstractContextManager, contextmanager
 from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -185,13 +185,20 @@ class Tracer:
         """Context manager opening a child of ``parent`` (default: current)."""
         return _SpanHandle(self, name, parent, attrs)
 
-    def attach(self, span: Span) -> None:
-        """Adopt an externally-assembled span tree at the current position."""
-        parent = self.current()
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
+    @contextmanager
+    def resume(self, span: Span) -> Iterator[Span]:
+        """Make an already-open ``span`` current for a block.
+
+        Spans opened inside become its children.  The block's time is not
+        added to ``span``; callers that interleave work under one span
+        (the ETL engine's chunk pulls) account its duration themselves.
+        """
+        self._stack.append(span)
+        try:
+            yield span
+        finally:
+            if self._stack and self._stack[-1] is span:
+                self._stack.pop()
 
     def to_dict(self) -> dict[str, Any]:
         return {"spans": [span.to_dict() for span in self.roots]}
@@ -317,13 +324,14 @@ def span(name: str, **attrs: object) -> AbstractContextManager[Span]:
 
 
 class TreeRecorder:
-    """Mirrors a static operator tree into spans and meters its iterators.
+    """Mirrors a static operator tree into spans for metering.
 
     Built once per traced execution: the plan tree is walked up front so
-    the span tree reflects operator structure even though streaming
-    interleaves the operators' actual work.  Each node's iterator is then
-    wrapped to accumulate wall time (inclusive of children, since a pull
-    recurses) and a ``rows_out`` counter into its own span.
+    the span tree reflects operator structure even though pipelined
+    execution interleaves the operators' actual work.  The executor then
+    accumulates each node's wall time (inclusive of children, since a pull
+    recurses) and gauges such as ``rows_out`` into the node's span
+    (:meth:`span_of`).
 
     Spans are keyed by node identity; a node object shared between two
     tree positions accumulates into one span (counts then sum).
@@ -359,28 +367,3 @@ class TreeRecorder:
         node_span = self.span_of(node)
         if node_span is not None:
             node_span.attrs.update(attrs)
-
-    def wrap(
-        self, node: object, iterator: Iterator[Any], setup_s: float = 0.0
-    ) -> Iterator[Any]:
-        """Meter ``iterator`` into the node's span (rows_out + wall time)."""
-        node_span = self.span_of(node)
-        if node_span is None:
-            return iterator
-        node_span.duration_s += setup_s
-
-        def generate() -> Iterator[Any]:
-            rows = 0
-            timer = perf_counter
-            started = timer()
-            try:
-                for item in iterator:
-                    node_span.duration_s += timer() - started
-                    rows += 1
-                    yield item
-                    started = timer()
-                node_span.duration_s += timer() - started
-            finally:
-                node_span.attrs["rows_out"] = node_span.attrs.get("rows_out", 0) + rows
-
-        return generate()

@@ -92,8 +92,16 @@ class PatternChain:
         )
 
     def read_naive(self, db: Database, form_name: str) -> list[Row]:
-        """Execute the read path: the naive relation, reconstructed."""
-        return self.plan_for(form_name).execute(db)
+        """Execute the read path: the naive relation, reconstructed.
+
+        Rows are the caller's to mutate: an empty chain's plan is a bare
+        ``Scan``, whose shared snapshot rows are copied here.
+        """
+        plan = self.plan_for(form_name)
+        rows = plan.execute(db)
+        if type(plan) is Scan:
+            return [dict(row) for row in rows]
+        return rows
 
     # -- provenance / deletion ------------------------------------------------
 

@@ -65,7 +65,7 @@ from repro.relational.stats import (
     statistics_enabled,
     table_statistics_report,
 )
-from repro.relational.vectorize import Vectorized, execute_vectorized
+from repro.relational.vectorize import execute_vectorized
 
 __all__ = [
     "Aggregate",
@@ -105,7 +105,6 @@ __all__ = [
     "Union",
     "Unpivot",
     "Values",
-    "Vectorized",
     "canonical_key",
     "column_ndv",
     "column_null_fraction",

@@ -1,4 +1,4 @@
-"""Logical plans and their streaming executor.
+"""Logical plans: the operator nodes every executor runs.
 
 Plans are immutable trees of operator nodes; ``Plan.execute(db)`` runs the
 tree against a :class:`~repro.relational.database.Database` and returns a
@@ -6,17 +6,16 @@ list of row dicts.  Predicates and computed columns use the shared
 expression language, so the same conditions analysts write in classifiers
 run here unchanged.
 
-Execution is *streaming*: every operator implements :meth:`Plan.stream`,
-yielding rows through iterators instead of materializing a list at each
-node.  ``Scan`` (and the index-backed ``IndexLookup``) yield the table's
-internal row dicts without copying; operators never mutate rows they
-receive, and ``Plan.execute`` restores the defensive-copy contract at the
-API boundary — only for plans whose output can still alias table storage
-(see :meth:`Plan.shares_storage`).  Predicates and derivations are lowered
-once per plan node via :mod:`repro.expr.compile` rather than tree-walked
-per row; ``repro.relational.interpret`` keeps the original materializing
-interpreter as the executable specification both paths are property-tested
-against.
+This module holds the nodes, their output schemas and the helpers shared
+by both executors (canonical keys, sort keys, aggregate finalizers).
+Execution itself is columnar: :mod:`repro.relational.vectorize` runs every
+node batch-at-a-time, and :mod:`repro.relational.interpret` keeps the
+original materializing interpreter as the executable specification the
+batch executor is property-tested against.
+
+Result rows are fresh dicts the caller may mutate, with one documented
+exception: a bare :class:`Scan` root returns the table's version-keyed
+snapshot rows zero-copy, read-only by contract (``Table.snapshot_rows``).
 
 ``Unpivot`` and ``Pivot`` are first-class because the paper's *Generic*
 design pattern (EAV layouts) hinges on them: "Execute an un-pivot
@@ -25,17 +24,12 @@ operation, either in code or SQL if the operator exists in the DBMS".
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import islice
-from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import QueryError
 from repro.expr.ast import Expression
-from repro.expr.compile import compile_expression, compile_predicate
-from repro.expr.evaluator import sql_equal
 from repro.obs.trace import TreeRecorder, current_tracer
 from repro.relational.database import Database
 from repro.relational.types import DataType
@@ -53,9 +47,9 @@ class ExecContext:
     node identity so one execute computes each node's schema exactly once.
 
     ``recorder`` (normally None) is the observability hook: when set, the
-    base :meth:`Plan.stream` meters every node's iterator into the
-    recorder's span tree.  The disabled cost is one attribute check per
-    operator per execution — never per row.
+    batch executor meters every node's batches into the recorder's span
+    tree.  The disabled cost is one attribute check per operator per
+    execution — never per row or per batch.
     """
 
     __slots__ = ("db", "recorder", "_columns")
@@ -91,59 +85,25 @@ class Plan:
         return ()
 
     def execute(self, db: Database) -> list[Row]:
-        """Run the plan against ``db`` and materialize the result.
+        """Run the plan against ``db`` with the batch executor.
 
-        Under an installed tracer (``repro.obs.tracing()``) the execution
-        is profiled: a span tree mirroring the plan records per-node row
-        counts and wall time.
+        Rows are fresh dicts, except for a bare :class:`Scan` root, which
+        returns the table's shared snapshot rows (read-only; see the
+        module docstring).  Under an installed tracer
+        (``repro.obs.tracing()``) the execution is profiled: a span tree
+        mirroring the plan records per-node row counts, batches and wall
+        time.
         """
         tracer = current_tracer()
-        if tracer is not None:
-            return self._execute_traced(db, tracer)
-        rows = self.stream(ExecContext(db))
-        if self.shares_storage():
-            # The stream may yield dicts owned by table storage; copy at the
-            # boundary so callers can mutate results freely.
-            return [dict(row) for row in rows]
-        return list(rows)
-
-    def _execute_traced(self, db: Database, tracer) -> list[Row]:
+        if tracer is None:
+            return execute_vectorized(self, ExecContext(db))
         with tracer.span(f"execute:{type(self).__name__}") as root:
             recorder = TreeRecorder(
                 self, root, label=trace_label, children=lambda p: p.children()
             )
-            rows = self.stream(ExecContext(db, recorder))
-            if self.shares_storage():
-                result = [dict(row) for row in rows]
-            else:
-                result = list(rows)
-            root.set("rows_out", len(result))
-            return result
-
-    def stream(self, ctx: ExecContext) -> Iterator[Row]:
-        """Yield result rows lazily.
-
-        Rows may alias table storage when :meth:`shares_storage` is true;
-        treat streamed rows as read-only unless that method returns False.
-        Dispatches to the node's :meth:`_stream`; when the context carries
-        a recorder, the iterator is metered into the node's span (any
-        eager setup work a node does — e.g. a join's build side — counts
-        toward its span as ``setup_s``).
-        """
-        recorder = ctx.recorder
-        if recorder is None:
-            return self._stream(ctx)
-        started = perf_counter()
-        iterator = self._stream(ctx)
-        return recorder.wrap(self, iterator, setup_s=perf_counter() - started)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        """The node's streaming implementation (see :meth:`stream`)."""
-        raise NotImplementedError
-
-    def shares_storage(self) -> bool:
-        """True when streamed rows may be the backing table's own dicts."""
-        return False
+            rows = execute_vectorized(self, ExecContext(db, recorder))
+            root.set("rows_out", len(rows))
+            return rows
 
     def output_columns(self, db: Database) -> tuple[str, ...]:
         """Column names this node produces, in order."""
@@ -161,15 +121,9 @@ class Plan:
 
 @dataclass(frozen=True)
 class Scan(Plan):
-    """Read a base table's full extent (zero-copy; see ``shares_storage``)."""
+    """Read a base table's full extent."""
 
     table: str
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        return ctx.db.table(self.table).iter_rows()
-
-    def shares_storage(self) -> bool:
-        return True
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.db.table(self.table).schema.column_names
@@ -189,51 +143,6 @@ class IndexLookup(Plan):
     table: str
     items: tuple[tuple[str, object], ...]
 
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        table = ctx.db.table(self.table)
-        items = self.items
-        index = table.matching_index([column for column, _ in items])
-        if index is None:
-            ctx.annotate(self, access_path="scan_fallback")
-            return (
-                row
-                for row in table.iter_rows()
-                if all(sql_equal(row.get(column), value) for column, value in items)
-            )
-        values = dict(items)
-        key = tuple(values[column] for column in index.columns)
-        positions = index.lookup(key)
-        ctx.annotate(
-            self,
-            access_path="index",
-            index_columns=",".join(index.columns),
-            bucket_rows=len(positions),
-        )
-        candidates = table.rows_at(positions)
-        # Bucket rows are Python-equal to the probe on the indexed columns,
-        # and table extents are coerced to their declared types on write.
-        # SQL equality then only disagrees with bucket membership when the
-        # probe value's bool-ness differs from the column's (TRUE vs 1), so
-        # every other indexed item needs no per-row re-check.
-        covered = set(index.columns)
-        residual = tuple(
-            (column, value)
-            for column, value in items
-            if column not in covered
-            or isinstance(value, bool)
-            != (table.schema.column(column).dtype is DataType.BOOLEAN)
-        )
-        if not residual:
-            return candidates
-        return (
-            row
-            for row in candidates
-            if all(sql_equal(row.get(column), value) for column, value in residual)
-        )
-
-    def shares_storage(self) -> bool:
-        return True
-
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.db.table(self.table).schema.column_names
 
@@ -245,45 +154,13 @@ class InLookup(Plan):
     Produced by the optimizer from a ``col IN (literals)`` conjunct over a
     scanned table with a single-column hash index on ``col``; remaining
     conjuncts stay behind in a residual :class:`Select` above this node.
-    Matched positions are merged and sorted, so rows stream in extent
+    Matched positions are merged and sorted, so rows come out in extent
     order — exactly the order of the filtered scan this replaces.
     """
 
     table: str
     column: str
     values: tuple[object, ...]
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        table = ctx.db.table(self.table)
-        index = table.matching_index([self.column])
-        if index is None:
-            ctx.annotate(self, access_path="scan_fallback")
-            column, values = self.column, self.values
-            return (
-                row
-                for row in table.iter_rows()
-                if any(sql_equal(row.get(column), value) for value in values)
-            )
-        # Bucket keys hash/compare Python-style; SQL equality only diverges
-        # on bool-vs-non-bool probes (TRUE vs 1), so those are skipped, and
-        # NULL probes never match.  Everything else needs no re-check
-        # because extents are coerced to their declared type on write.
-        boolish = table.schema.column(self.column).dtype is DataType.BOOLEAN
-        positions: set[int] = set()
-        for value in self.values:
-            if value is None or isinstance(value, bool) != boolish:
-                continue
-            positions.update(index.lookup((value,)))
-        ctx.annotate(
-            self,
-            access_path="index",
-            probe_values=len(self.values),
-            bucket_rows=len(positions),
-        )
-        return table.rows_at(sorted(positions))
-
-    def shares_storage(self) -> bool:
-        return True
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.db.table(self.table).schema.column_names
@@ -298,36 +175,12 @@ class PartitionScan(Plan):
     predicate always stays behind in a residual :class:`Select` above this
     node — pruning narrows the scanned superset, it never filters — so a
     stale or mismatched scheme at execution time can safely fall back to a
-    full scan.  Merged partition positions are ascending, so rows stream in
-    extent (insertion) order, exactly like the scan this replaces.
+    full scan.  Merged partition positions are ascending, so rows come out
+    in extent (insertion) order, exactly like the scan this replaces.
     """
 
     table: str
     partitions: tuple[int, ...]
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        table = ctx.db.table(self.table)
-        scheme = table.partitioning
-        total = scheme.partition_count if scheme is not None else 0
-        if scheme is None or any(pid >= total for pid in self.partitions):
-            # The scheme changed under a cached/hand-built plan; the pruning
-            # decision no longer applies, so scan everything (the residual
-            # Select above still enforces the predicate).
-            ctx.annotate(self, access_path="scan_fallback")
-            return table.iter_rows()
-        positions = table.positions_for_partitions(self.partitions)
-        ctx.annotate(
-            self,
-            access_path="partition",
-            partitions_scanned=len(set(self.partitions)),
-            partitions_pruned=total - len(set(self.partitions)),
-            partitions_total=total,
-            bucket_rows=len(positions),
-        )
-        return table.rows_at(positions)
-
-    def shares_storage(self) -> bool:
-        return True
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.db.table(self.table).schema.column_names
@@ -339,10 +192,6 @@ class Values(Plan):
 
     columns: tuple[str, ...]
     rows: tuple[tuple[object, ...], ...]
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        columns = self.columns
-        return (dict(zip(columns, row)) for row in self.rows)
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return self.columns
@@ -358,12 +207,6 @@ class Select(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        return filter(compile_predicate(self.predicate), self.child.stream(ctx))
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
-
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)
 
@@ -378,23 +221,6 @@ class Project(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        available = set(ctx.columns(self.child))
-        missing = [column for column in self.columns if column not in available]
-        if missing:
-            raise QueryError(f"projection references unknown column(s) {missing}")
-        columns = self.columns
-
-        def narrow(row: Row) -> Row:
-            try:
-                # Rows normally carry every schema column; direct indexing
-                # beats a bound .get per column.
-                return {column: row[column] for column in columns}
-            except KeyError:
-                return {column: row.get(column) for column in columns}
-
-        return map(narrow, self.child.stream(ctx))
-
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return self.columns
 
@@ -408,21 +234,6 @@ class Compute(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        compiled = tuple(
-            (name, compile_expression(expression))
-            for name, expression in self.derivations
-        )
-        # Derivations all evaluate against the child row, not each other.
-        def generate() -> Iterator[Row]:
-            for row in self.child.stream(ctx):
-                extended = dict(row)
-                for name, value_of in compiled:
-                    extended[name] = value_of(row)
-                yield extended
-
-        return generate()
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         base = ctx.columns(self.child)
@@ -439,13 +250,6 @@ class Rename(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        table = dict(self.mapping)
-        return (
-            {table.get(column, column): value for column, value in row.items()}
-            for row in self.child.stream(ctx)
-        )
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         table = dict(self.mapping)
@@ -464,7 +268,7 @@ class Join(Plan):
     executors build their table on that side (``"right"``, the default, or
     ``"left"``).  It never changes output rows, order, or columns — the
     left-build batch algorithm re-emits matches left-major — so the
-    streaming and interpreted executors are free to ignore it.
+    interpreter is free to ignore it.
     """
 
     left: Plan
@@ -475,75 +279,6 @@ class Join(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        if self.how not in ("inner", "left"):
-            raise QueryError(f"unsupported join type {self.how!r}")
-        left_cols = ctx.columns(self.left)
-        right_cols = ctx.columns(self.right)
-        right_keys = {rk for _, rk in self.on}
-        overlap = (set(left_cols) & set(right_cols)) - right_keys
-        if overlap:
-            raise QueryError(
-                f"join would collide on columns {sorted(overlap)}; rename one side"
-            )
-        # Build the hash side once; payloads drop the join keys up front so
-        # the probe loop is one dict copy + update per match.  Single-column
-        # joins (the overwhelmingly common case) bucket on the bare value to
-        # skip a per-row tuple.
-        on = self.on
-        null_right = {column: None for column in right_cols if column not in right_keys}
-        how = self.how
-
-        # Buckets key on canonical_key so TRUE never meets 1 across a
-        # BOOLEAN/INTEGER join — the same rule as group-by and sql_equal.
-        if len(on) == 1:
-            lk, rk = on[0]
-            buckets: dict[object, list[Row]] = {}
-            for row in self.right.stream(ctx):
-                key = row.get(rk)
-                if key is not None:
-                    payload = {c: v for c, v in row.items() if c not in right_keys}
-                    buckets.setdefault(canonical_key(key), []).append(payload)
-            left_stream = self.left.stream(ctx)
-
-            def probe_single() -> Iterator[Row]:
-                for row in left_stream:
-                    matches = buckets.get(canonical_key(row.get(lk)))
-                    if matches:
-                        for payload in matches:
-                            merged = dict(row)
-                            merged.update(payload)
-                            yield merged
-                    elif how == "left":
-                        merged = dict(row)
-                        merged.update(null_right)
-                        yield merged
-
-            return probe_single()
-
-        multi_buckets: dict[tuple[object, ...], list[Row]] = {}
-        for row in self.right.stream(ctx):
-            key = tuple(canonical_key(row.get(rk)) for _, rk in on)
-            payload = {c: v for c, v in row.items() if c not in right_keys}
-            multi_buckets.setdefault(key, []).append(payload)
-        left_stream = self.left.stream(ctx)
-
-        def probe() -> Iterator[Row]:
-            for row in left_stream:
-                key = tuple(canonical_key(row.get(lk)) for lk, _ in on)
-                matches = multi_buckets.get(key) if None not in key else None
-                if matches:
-                    for payload in matches:
-                        merged = dict(row)
-                        merged.update(payload)
-                        yield merged
-                elif how == "left":
-                    merged = dict(row)
-                    merged.update(null_right)
-                    yield merged
-
-        return probe()
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         right_keys = {rk for _, rk in self.on}
@@ -568,26 +303,6 @@ class Union(Plan):
     def children(self) -> tuple[Plan, ...]:
         return self.inputs
 
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        if not self.inputs:
-            return iter(())
-        columns = ctx.columns(self)
-        column_set = set(columns)
-        for plan in self.inputs:
-            plan_columns = set(ctx.columns(plan))
-            if plan_columns != column_set:
-                raise QueryError(
-                    f"union inputs disagree on columns: {sorted(plan_columns)} "
-                    f"vs {sorted(columns)}"
-                )
-
-        def generate() -> Iterator[Row]:
-            for plan in self.inputs:
-                for row in plan.stream(ctx):
-                    yield {column: row.get(column) for column in columns}
-
-        return generate()
-
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         if not self.inputs:
             return ()
@@ -602,22 +317,6 @@ class Distinct(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        columns = ctx.columns(self.child)
-
-        def generate() -> Iterator[Row]:
-            seen: set[tuple[object, ...]] = set()
-            for row in self.child.stream(ctx):
-                key = tuple(canonical_key(row.get(column)) for column in columns)
-                if key not in seen:
-                    seen.add(key)
-                    yield row
-
-        return generate()
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)
@@ -635,14 +334,6 @@ class Unpivot(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        for row in self.child.stream(ctx):
-            for column in self.value_columns:
-                record: Row = {c: row.get(c) for c in self.id_columns}
-                record[self.attribute_column] = column
-                record[self.value_column] = row.get(column)
-                yield record
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return self.id_columns + (self.attribute_column, self.value_column)
@@ -666,39 +357,6 @@ class Pivot(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        # Ordered dicts double as the insertion-order list; the attribute
-        # set and the blank-row template are hoisted out of the fold loop.
-        grouped: dict[object, Row] = {}
-        key_columns = self.key_columns
-        attribute_column, value_column = self.attribute_column, self.value_column
-        wanted = set(self.attributes)
-        template = dict.fromkeys(self.attributes)
-        single = key_columns[0] if len(key_columns) == 1 else None
-        for row in self.child.stream(ctx):
-            if single is not None:
-                # The overwhelmingly common single-key fold skips the tuple
-                # allocation per row.
-                key = row.get(single)
-                base = grouped.get(key)
-                if base is None:
-                    base = {single: key}
-                    base.update(template)
-                    grouped[key] = base
-            else:
-                key = tuple(row.get(column) for column in key_columns)
-                base = grouped.get(key)
-                if base is None:
-                    base = dict(zip(key_columns, key))
-                    base.update(template)
-                    grouped[key] = base
-            attribute = row.get(attribute_column)
-            # Only str values can equal a declared attribute name; the
-            # isinstance guard also keeps unhashable values out of the set.
-            if isinstance(attribute, str) and attribute in wanted:
-                base[attribute] = row.get(value_column)
-        return iter(grouped.values())
-
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return self.key_columns + self.attributes
 
@@ -716,20 +374,6 @@ class Coerce(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        converters = tuple(
-            (column, dtype.coerce) for column, dtype in self.column_types
-        )
-        # Rows that already left table storage (fresh dicts from the child)
-        # can be converted in place; aliased rows still get copied.
-        copy = self.child.shares_storage()
-        for row in self.child.stream(ctx):
-            converted = dict(row) if copy else row
-            for column, coerce in converters:
-                if column in converted:
-                    converted[column] = coerce(converted[column])
-            yield converted
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)
@@ -755,37 +399,6 @@ class Aggregate(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        group_by = self.group_by
-        groups: dict[tuple[object, ...], list[Row]] = {}
-        order: list[tuple[object, ...]] = []
-        # Canonical keys are tagged (bools) or repr'd (containers), so output
-        # rows carry each group's first-seen original values instead.
-        representatives: dict[tuple[object, ...], Row] = {}
-        for row in self.child.stream(ctx):
-            key = tuple(canonical_key(row.get(column)) for column in group_by)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = bucket = []
-                order.append(key)
-                representatives[key] = {
-                    column: row.get(column) for column in group_by
-                }
-            bucket.append(row)
-
-        def generate() -> Iterator[Row]:
-            for key in order:
-                rows = groups[key]
-                result: Row = representatives[key]
-                for spec in self.aggregates:
-                    result[spec.alias] = _aggregate(spec, rows)
-                yield result
-            if not order and not self.group_by and self.aggregates:
-                # Aggregating an empty input without grouping yields one row.
-                yield {spec.alias: _aggregate(spec, []) for spec in self.aggregates}
-
-        return generate()
-
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return self.group_by + tuple(spec.alias for spec in self.aggregates)
 
@@ -799,16 +412,6 @@ class Sort(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        rows = list(self.child.stream(ctx))
-        # Apply keys right-to-left so stable sort yields composite ordering.
-        for column, ascending in reversed(self.keys):
-            rows.sort(key=lambda row: _sort_key(row.get(column)), reverse=not ascending)
-        return iter(rows)
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)
@@ -833,34 +436,6 @@ class TopK(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        rows = self.child.stream(ctx)
-        directions = {ascending for _, ascending in self.keys}
-        if len(directions) <= 1:
-            select = heapq.nsmallest if directions != {False} else heapq.nlargest
-            if len(self.keys) == 1:
-                column = self.keys[0][0]
-
-                def single_key(row: Row) -> tuple[int, object]:
-                    return _sort_key(row.get(column))
-
-                return iter(select(self.count, rows, key=single_key))
-            columns = tuple(column for column, _ in self.keys)
-
-            def key_of(row: Row) -> tuple[tuple[int, object], ...]:
-                return tuple(_sort_key(row.get(column)) for column in columns)
-
-            return iter(select(self.count, rows, key=key_of))
-        materialized = list(rows)
-        for column, ascending in reversed(self.keys):
-            materialized.sort(
-                key=lambda row: _sort_key(row.get(column)), reverse=not ascending
-            )
-        return iter(materialized[: self.count])
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
-
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)
 
@@ -874,17 +449,6 @@ class Limit(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        if self.count < 0:
-            # Negative counts keep Python slice semantics (drop from the end),
-            # which requires the full child extent.
-            rows = list(self.child.stream(ctx))
-            return iter(rows[: self.count])
-        return islice(self.child.stream(ctx), self.count)
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)
@@ -958,18 +522,14 @@ def canonical_key(value: object) -> object:
     distinct, COUNT_DISTINCT, and hash-join keys — but ``sql_equal``
     distinguishes them, so the keys must too.  Booleans are tagged with a
     private sentinel; unhashable containers collapse to their ``repr``.
-    All three executors (interpreter, streaming, vectorized) share this
-    one function so their grouping/join semantics can never diverge.
+    Both executors (interpreter and batch) share this one function so
+    their grouping/join semantics can never diverge.
     """
     if isinstance(value, bool):
         return (_BOOL_TAG, value)
     if isinstance(value, (list, dict, set)):
         return repr(value)
     return value
-
-
-# Historical internal name, kept for callers predating the audit.
-_hashable = canonical_key
 
 
 def _sort_key(value: object) -> tuple[int, object]:
@@ -988,8 +548,6 @@ def _sort_key(value: object) -> tuple[int, object]:
     return (3, str(value))
 
 
-
-
 def _aggregate(spec: AggregateSpec, rows: Sequence[Row]) -> object:
     func = spec.func.upper()
     if func == "COUNT" and spec.column is None:
@@ -1004,8 +562,8 @@ def _aggregate(spec: AggregateSpec, rows: Sequence[Row]) -> object:
 def _aggregate_values(func: str, values: list[object], name: str) -> object:
     """Finalize one aggregate over a column's non-NULL values (row order).
 
-    Shared by the row-at-a-time paths (via :func:`_aggregate`) and the
-    vectorized executor's grouped accumulation, so both produce identical
+    Shared by the interpreter (via :func:`_aggregate`) and the batch
+    executor's grouped accumulation, so both produce identical
     results by construction.  ``func`` is already upper-cased; ``name`` is
     the spec's original spelling, for error messages.  COUNT(*) is handled
     by the callers (it needs the row count, not a column).
@@ -1028,3 +586,8 @@ def _aggregate_values(func: str, values: list[object], name: str) -> object:
     if func == "MAX":
         return max(values)  # type: ignore[type-var]
     raise QueryError(f"unknown aggregate function {name!r}")
+
+
+# The batch kernels import the node classes above, so the executor binds
+# last; the package imports this module before ``vectorize``.
+from repro.relational.vectorize import execute_vectorized  # noqa: E402

@@ -1,4 +1,4 @@
-"""Columnar batches for the vectorized executor.
+"""Columnar batches for the batch executor.
 
 A :class:`Batch` holds a fixed-size horizontal slice of a relation as one
 Python list per column.  NULL keeps the row-dict convention exactly: the
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 Row = dict[str, object]
 
-#: Rows per batch on the vectorized path.  Big enough to amortize the
+#: Rows per batch.  Big enough to amortize the
 #: per-batch Python overhead of each kernel, small enough that a lazy
 #: gather of one column stays cache-friendly.
 BATCH_SIZE = 1024
@@ -209,15 +209,14 @@ class Batch:
     def from_rows(
         cls, columns: tuple[str, ...], rows: Sequence[Row]
     ) -> "Batch":
-        """Pack row dicts into one batch (the fallback boundary).
+        """Pack row dicts into one batch.
 
         One ``row.get`` comprehension per column, measured fastest at
         batch sizes: single-pass alternatives (generated per-row tuple
         packers + a ``zip(*...)`` transpose, per-column appends in one
         loop, ``itemgetter``) all lose to CPython's C-dispatched
         comprehension loop — 0.3–0.95x at 1024+ rows (see EXPERIMENTS.md
-        ZM).  Missing keys contribute NULL, matching every row-wise
-        operator that rebuilds rows.
+        ZM).  Missing keys contribute NULL, matching ``row.get``.
         """
         return cls(
             columns,

@@ -559,8 +559,7 @@ def estimate_plan_rows(
 
     Pure arithmetic over cached statistics — never executes the plan.
     Unknown node kinds pass through their only child's estimate (or 0 for
-    unknown leaves), so wrapper nodes from other modules (``Vectorized``)
-    need no special case here.
+    unknown leaves).
     """
     if memo is None:
         memo = {}
@@ -629,7 +628,7 @@ def _estimate(plan: Plan, db: "Database", memo: dict[int, float]) -> float:
     children = plan.children()
     if len(children) == 1:
         # Row-preserving or unknown wrappers (Project/Compute/Rename/Sort/
-        # Distinct/Coerce/Pivot/Vectorized/...): pass the child through.
+        # Distinct/Coerce/Pivot/...): pass the child through.
         return estimate_plan_rows(children[0], db, memo)
     if not children:
         return 0.0

@@ -1,14 +1,14 @@
 """Reference executor: the materializing, tree-walking interpreter.
 
-This module preserves the original (pre-streaming) execution strategy as an
-executable specification of plan semantics: every node materializes a full
+This module preserves the seed's execution strategy as an executable
+specification of plan semantics: every node materializes a full
 ``list[Row]``, ``Scan`` copies each row defensively, and predicates and
 derivations recurse through :class:`~repro.expr.evaluator.Evaluator` once
-per row.  The streaming executor in :mod:`repro.relational.algebra` and the
+per row.  The batch executor in :mod:`repro.relational.vectorize` and the
 optimizer's rewrites must agree with this interpreter row for row —
 property tests in ``tests/test_relational`` assert that on randomized
 databases, and ``benchmarks/bench_relational_core.py`` measures the
-streaming/compiled/index-aware speedup against it.
+batch/compiled/index-aware speedup against it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def execute_interpreted(plan: Plan, db: Database) -> list[Row]:
         # Semantics of the optimizer's partition pruning, spelled as a full
         # scan filtered by partition membership, in insertion order.  The
         # oracle ignores the partition layout itself; a missing/mismatched
-        # scheme degenerates to the full scan, like the streaming fallback.
+        # scheme degenerates to the full scan, like the batch kernel's fallback.
         table = db.table(plan.table)
         scheme = table.partitioning
         if scheme is None or any(

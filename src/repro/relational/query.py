@@ -5,8 +5,8 @@ pushdown with dead-column pruning, fusing ``Limit`` over ``Sort`` into a
 heap top-k, and — when a database handle is supplied — lowering equality
 selections over base tables onto :class:`~repro.relational.algebra.IndexLookup`
 backed by the table's hash indexes.  Correctness is checked by property
-tests asserting optimized, naive-streaming, and interpreted executions
-agree on every database they run against.
+tests asserting optimized, unoptimized and interpreted executions agree
+on every database they run against.
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ from repro.relational.stats import (
     _equality_item,
     _in_list_item,
     statistics_enabled,
-)
-from repro.relational.vectorize import (
-    VECTORIZE_MIN_ROWS,
-    Vectorized,
-    estimated_input_rows,
-    fully_vectorizable,
 )
 
 Row = dict[str, object]
@@ -151,22 +145,21 @@ class Query:
         return plan.execute(db)
 
 
-def optimize(plan: Plan, db: Database | None = None, *, vectorize: bool = True) -> Plan:
+def optimize(plan: Plan, db: Database | None = None) -> Plan:
     """Apply safe rewrites; ``db`` unlocks schema- and index-aware rules.
 
     Without a database the optimizer falls back to statically derivable
     column sets, as before.  With one (``Query.execute`` always passes it),
     it can additionally lower equality filters onto hash indexes, prune
-    dead columns through joins and unions, and (unless ``vectorize=False``)
-    wrap high-volume fully-kernel-supported subtrees in
-    :class:`~repro.relational.vectorize.Vectorized` for columnar execution.
+    partitions, prune dead columns through joins and unions, and make the
+    cost-based physical choices (build side, join order, conjunct order).
     The optimizer is deliberately conservative — correctness is checked by
     property tests asserting optimized and naive plans agree on every
     database they run against.
 
     With a database the result is also memoized in the database's plan
-    cache, keyed by (structural plan fingerprint, vectorize flag, the
-    statistics and costing toggles, ``Database.epoch``): GUAVA pattern
+    cache, keyed by (structural plan fingerprint, the statistics and
+    costing toggles, ``Database.epoch``): GUAVA pattern
     chains re-translate structurally identical plans on every pull, and
     re-lowering them is pure overhead while nothing changed.  Any insert,
     delete, index create/drop, or table create/drop bumps the epoch and
@@ -190,7 +183,7 @@ def optimize(plan: Plan, db: Database | None = None, *, vectorize: bool = True) 
     epoch = 0
     if db is not None:
         fingerprint = (
-            f"V{int(vectorize)}S{int(statistics_enabled())}C{int(costing_enabled())}:"
+            f"S{int(statistics_enabled())}C{int(costing_enabled())}:"
             + plan_fingerprint(plan)
         )
         # Captured before planning: a mutation racing the rewrite pass can
@@ -207,8 +200,6 @@ def optimize(plan: Plan, db: Database | None = None, *, vectorize: bool = True) 
         optimized = _rewrite(plan, ctx)
         if db is not None and costing_enabled():
             optimized = _cost_pass(optimized, ctx)
-        if db is not None and vectorize:
-            optimized = _vectorize_tree(optimized, db, ctx)
     else:
         with tracer.span("optimize") as trace:
             ctx.trace = trace
@@ -216,8 +207,6 @@ def optimize(plan: Plan, db: Database | None = None, *, vectorize: bool = True) 
             optimized = _rewrite(plan, ctx)
             if db is not None and costing_enabled():
                 optimized = _cost_pass(optimized, ctx)
-            if db is not None and vectorize:
-                optimized = _vectorize_tree(optimized, db, ctx)
     if db is not None and fingerprint is not None:
         db.plan_cache_put(fingerprint, epoch, optimized)
     return optimized
@@ -253,27 +242,6 @@ def _fingerprint(value: object, emit: Callable[[str], None]) -> None:
         emit("]")
     else:
         emit(f"{type(value).__name__}:{value!r};")
-
-
-def _vectorize_tree(plan: Plan, db: Database, ctx: _OptContext) -> Plan:
-    """Wrap the root-most batch-executable subtrees in ``Vectorized``.
-
-    A subtree qualifies when every node has a batch kernel (index probes
-    ride along as row-wise leaves) and its estimated base input clears
-    ``VECTORIZE_MIN_ROWS`` — below that, batch setup costs more than the
-    per-row dict traffic it saves.
-    """
-    if isinstance(plan, Vectorized):
-        return plan
-    if fully_vectorizable(plan):
-        # Every subtree is then fully vectorizable too, over no more base
-        # rows, so below the threshold none of them qualifies either.
-        if estimated_input_rows(plan, db) < VECTORIZE_MIN_ROWS:
-            return plan
-        ctx.note("vectorize", root=type(plan).__name__)
-        return Vectorized(plan)
-    children = tuple(_vectorize_tree(child, db, ctx) for child in plan.children())
-    return _with_children(plan, children)
 
 
 def _cost_pass(plan: Plan, ctx: _OptContext) -> Plan:
@@ -330,7 +298,7 @@ def _choose_build_side(join: Join, ctx: _OptContext) -> Join:
 
 
 def _error_free_subtree(plan: Plan, ctx: _OptContext) -> bool:
-    """True when streaming this subtree cannot raise on any row.
+    """True when executing this subtree cannot raise on any row.
 
     Conservative by construction: base-table access paths never raise
     (``sql_equal`` residuals included), row-preserving wrappers inherit
@@ -970,15 +938,17 @@ def _push_project_into_join(
 
 
 def prepare_stream_plan(plan: Plan, db: Database) -> Plan:
-    """Optimize ``plan`` for repeated streaming, building missing indexes.
+    """Optimize ``plan`` for repeated execution, building missing indexes.
 
-    Equality filters that survive optimization directly over a base table
-    get a supporting hash index built (idempotent — ``create_index``
-    returns the existing one), then the plan is re-optimized so the
-    :class:`IndexLookup` lowering fires.  Index creation is invisible to
-    query semantics; callers that must preserve the exact cost profile of
-    the written plan (the serial ETL oracle) should execute the raw plan
-    instead.
+    Equality and ``IN`` filters that survive optimization directly over a
+    base table get a supporting hash index built (idempotent —
+    ``create_index`` returns the existing one), then the plan is
+    re-optimized so the :class:`IndexLookup`/:class:`InLookup` lowering
+    fires.  Record-scoped GUAVA extraction (incremental refresh) and the
+    batched ETL engine's extracts rely on this.  Index creation is
+    invisible to query semantics; callers that must preserve the exact
+    cost profile of the written plan (the serial ETL oracle) should
+    execute the raw plan instead.
     """
     optimized = optimize(plan, db)
     built = False
@@ -1083,6 +1053,4 @@ def _with_children(plan: Plan, children: tuple[Plan, ...]) -> Plan:
             plan.value_column,
             plan.attributes,
         )
-    if isinstance(plan, Vectorized):
-        return Vectorized(children[0])
     return plan

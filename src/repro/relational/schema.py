@@ -224,7 +224,9 @@ class TableSchema:
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("table name must be non-empty")
-        names = [column.name for column in self.columns]
+        names = tuple(column.name for column in self.columns)
+        # Read on every scan and probe; the schema is frozen, so derive once.
+        object.__setattr__(self, "_column_names", names)
         duplicates = {n for n in names if names.count(n) > 1}
         if duplicates:
             raise SchemaError(f"duplicate column names in {self.name}: {sorted(duplicates)}")
@@ -258,7 +260,7 @@ class TableSchema:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(column.name for column in self.columns)
+        return self._column_names
 
     def column(self, name: str) -> Column:
         """Look up a column by name."""

@@ -15,8 +15,7 @@ Two artifact kinds are derived per column:
   every row, so it is dropped for that chunk), or *evaluate*.
 * **Dictionaries** — lazy low-cardinality encodings for TEXT columns.  A
   :class:`Dictionary` maps distinct strings to dense integer codes; batch
-  kernels compare/group/join on codes and decode only at output or
-  fallback boundaries.  Encoding is *refused* (with a recorded reason)
+  kernels compare/group/join on codes and decode only at output.  Encoding is *refused* (with a recorded reason)
   for short, mixed-type, or high-cardinality columns so the encoded path
   never has to approximate 3VL or ``canonical_key`` semantics.
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from datetime import date
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import IntegrityError, SchemaError
 from repro.relational.index import HashIndex
@@ -213,8 +214,9 @@ class Table:
     def iter_rows(self) -> Iterator[Row]:
         """Iterate the extent without copying.
 
-        The streaming executor's ``Scan`` uses this; yielded dicts are the
-        table's own storage, so callers must treat them as read-only.
+        Yielded dicts are the table's own storage, so callers must treat
+        them as read-only.  The index kernels' scan fallback and the
+        storage engine's database digest read through this.
         """
         return iter(self._rows)
 
@@ -222,6 +224,25 @@ class Table:
         """Rows at index positions, uncopied (read-only, like iter_rows)."""
         rows = self._rows
         return (rows[position] for position in positions)
+
+    def columns_at(self, positions: Sequence[int]) -> dict[str, list[object]]:
+        """The rows at ``positions`` as fresh column → value lists.
+
+        Gathers from the columnar snapshot when it is current, else from
+        the row dicts: an index probe right after a write costs the probe,
+        not a snapshot rebuild.
+        """
+        names = self.schema.column_names
+        cached = self._column_snapshot
+        if cached is not None and cached[0] == self._version:
+            columns = cached[1]
+            if len(positions) > 1:
+                gather = itemgetter(*positions)
+                return {name: list(gather(columns[name])) for name in names}
+            return {name: [columns[name][p] for p in positions] for name in names}
+        rows = self._rows
+        picked = [rows[position] for position in positions]
+        return {name: [row[name] for row in picked] for name in names}
 
     # -- partitioning ---------------------------------------------------------
 

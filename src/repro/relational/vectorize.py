@@ -1,11 +1,9 @@
-"""Columnar, batch-at-a-time plan execution.
+"""Columnar, batch-at-a-time plan execution: the engine's one executor.
 
-The vectorized executor runs a plan subtree over :class:`~repro.relational.
-batch.Batch` slices instead of row dicts, eliminating the per-row dict
-traffic that row-at-a-time streaming pays at every operator boundary.  It
-is the third executor of the same semantics: results must be identical to
-:mod:`repro.relational.interpret` (the spec) and to the streaming executor
-— ``tests/test_relational/test_vectorize_equivalence.py`` asserts that on
+Every plan runs over :class:`~repro.relational.batch.Batch` slices instead
+of row dicts; rows are built once, at the root.  Results must be identical
+to :mod:`repro.relational.interpret` (the spec) —
+``tests/test_relational/test_vectorize_equivalence.py`` asserts that on
 randomized plans.
 
 Parity is by construction where it matters:
@@ -14,24 +12,25 @@ Parity is by construction where it matters:
   /``_like``/``_as_bool`` helpers (plus the same concrete-type fast paths
   as :mod:`repro.expr.compile`), element by element.
 - AND/OR short-circuit over *sub-batches*: the right operand is evaluated
-  only on rows the left operand left undecided, so errors the row path
-  never raises (because it short-circuits) are not raised here either.
+  only on rows the left operand left undecided, so errors the row-wise
+  interpreter never raises (because it short-circuits) are not raised
+  here either.
 - Grouping, distinct, and hash-join keys go through the shared
   :func:`~repro.relational.algebra.canonical_key`, and aggregate results
   through the shared ``_aggregate_values`` finalizer.
 
-Operators without a kernel (Unpivot) and the index probes (IndexLookup,
-InLookup) fall back per-subtree to the streaming executor; their rows are
-packed into batches at the boundary.  One intended divergence: when a plan
-raises, the batch path may surface the error from a different row than
-the row path (column-major vs row-major evaluation order), so only the
-exception *type* is comparable across executors.  ``Coerce`` is the
-exception to the exception: its kernel raises the row path's error for the
-first bad value in row order, then column order.
+Every plan node has a kernel; the index probes (IndexLookup, InLookup)
+gather their matched positions straight from the table.  One intended
+divergence: when a plan raises, the batch path may surface the error from
+a different row than the interpreter (column-major vs row-major
+evaluation order), so only the exception *type* is comparable.
+``Coerce`` is the exception to the exception: its kernel raises the
+interpreter's error for the first bad value in row order, then column
+order.
 
-Obs hooks carry over: under a tracer every kernel's span records
-``rows_out``, ``batches``, ``rows_per_batch``, and wall time, so
-``explain_analyze`` stays truthful on both paths.
+Obs hooks: under a tracer every kernel's span records ``rows_out``,
+``batches``, ``rows_per_batch``, and wall time, so ``explain_analyze``
+stays truthful.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ from __future__ import annotations
 import heapq
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date, datetime
-from itertools import islice
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
@@ -69,6 +66,7 @@ from repro.expr.evaluator import (
     _compare,
     _like,
     resolve_suffix_key,
+    sql_equal,
 )
 from repro.expr.functions import default_registry
 from repro.relational.algebra import (
@@ -92,6 +90,7 @@ from repro.relational.algebra import (
     Sort,
     TopK,
     Union,
+    Unpivot,
     Values,
     _IDENTITY_KEY_TYPES,
     _aggregate,
@@ -100,7 +99,6 @@ from repro.relational.algebra import (
     canonical_key,
 )
 from repro.relational.batch import BATCH_SIZE, Batch, concat
-from repro.relational.database import Database
 from repro.relational.stats import (
     SKIP_CHUNK,
     SelectAnalysis,
@@ -108,10 +106,6 @@ from repro.relational.stats import (
     statistics_enabled,
 )
 from repro.relational.types import DataType
-
-#: Estimated input rows below which the planner leaves a subtree on the
-#: row-at-a-time path: batch setup overhead only pays off with volume.
-VECTORIZE_MIN_ROWS = 256
 
 _DEFAULT_REGISTRY = default_registry()
 
@@ -123,52 +117,38 @@ _DIVISION_OPS = {"/": operator.truediv, "%": operator.mod}
 _CLEAN_KEY_TYPES = frozenset((int, float, str, type(None)))
 
 
-@dataclass(frozen=True)
-class Vectorized(Plan):
-    """Execute the child subtree batch-at-a-time.
-
-    Inserted by the optimizer's vectorize pass (never written by hand in
-    query builders); the interpreter refuses it, since it only ever sees
-    pre-optimization plans.
-    """
-
-    child: Plan
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        return iter(execute_vectorized(self.child, ctx))
-
-    def shares_storage(self) -> bool:
-        # Kernels build fresh dicts at the row boundary; a bare Scan root
-        # returns the table's engine-owned snapshot rows (not live storage,
-        # but shared between executions — read-only by contract, like
-        # ``Table.snapshot_rows``).
-        return False
-
-    def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
-        return ctx.columns(self.child)
-
-
 def execute_vectorized(plan: Plan, ctx: ExecContext) -> list[Row]:
     """Run ``plan`` over batches and materialize the result rows."""
     if type(plan) is Scan:
         # The whole-table read needs no batching at all: the version-keyed
         # row snapshot is the result, zero-copy.  The shared dicts are
         # read-only by contract (``Table.snapshot_rows``) — a defensive
-        # copy would cost one dict per row, the same O(n) the row paths
-        # pay, and the entire point of this path is skipping it.  Callers
+        # copy would cost one dict per row, the same O(n) the interpreter
+        # pays, and the entire point of this path is skipping it.  Callers
         # that need mutable rows should use ``Table.rows()`` or any
         # non-trivial plan, whose results are always freshly built.
-        rows = ctx.db.table(plan.table).snapshot_rows()
+        # The outer list is the caller's: sorting or extending it must not
+        # reach the cache.
+        rows = list(ctx.db.table(plan.table).snapshot_rows())
         ctx.annotate(
             plan,
             rows_out=len(rows),
             batches=1,
             rows_per_batch=len(rows),
-            executor="batch",
             access_path="row_snapshot",
+        )
+        return rows
+    if type(plan) is IndexLookup or type(plan) is InLookup:
+        # A root probe copies its matched rows once; gathering columns
+        # and rebuilding rows from them would pay that twice.
+        table = ctx.db.table(plan.table)
+        positions = _PROBES[type(plan)](plan, ctx, table)
+        rows = [dict(row) for row in table.rows_at(positions)]
+        ctx.annotate(
+            plan,
+            rows_out=len(rows),
+            batches=1,
+            rows_per_batch=len(rows),
         )
         return rows
     out: list[Row] = []
@@ -177,55 +157,13 @@ def execute_vectorized(plan: Plan, ctx: ExecContext) -> list[Row]:
     return out
 
 
-def fully_vectorizable(plan: Plan) -> bool:
-    """True when every node of the subtree runs on the batch path.
-
-    Index probes count as vectorizable leaves: they stay row-wise (their
-    selectivity is the point) and are packed into batches at the boundary.
-    """
-    if isinstance(plan, (IndexLookup, InLookup)):
-        return True
-    if type(plan) not in _KERNELS:
-        return False
-    return all(fully_vectorizable(child) for child in plan.children())
-
-
-def estimated_input_rows(plan: Plan, db: Database) -> int:
-    """Planner estimate: total base rows feeding the subtree.
-
-    Index probes (IndexLookup, InLookup) count zero: they are selective by
-    construction, and batching their handful of rows would only add the
-    setup overhead the threshold exists to avoid.
-    """
-    total = 0
-    for node in plan.walk():
-        if type(node) is Scan:
-            if db.has_table(node.table):
-                total += len(db.table(node.table))
-        elif type(node) is PartitionScan:
-            if db.has_table(node.table):
-                table = db.table(node.table)
-                if table.partitioning is None:
-                    total += len(table)
-                else:
-                    counts = table.partition_row_counts()
-                    total += sum(
-                        counts[pid]
-                        for pid in set(node.partitions)
-                        if pid < len(counts)
-                    )
-        elif isinstance(node, Values):
-            total += len(node.rows)
-    return total
-
-
 # -- batch streams per node ----------------------------------------------------
 
 
 def _node_batches(plan: Plan, ctx: ExecContext) -> Iterator[Batch]:
     kernel = _KERNELS.get(type(plan))
     if kernel is None:
-        return _fallback_batches(plan, ctx)
+        raise QueryError(f"no batch kernel for plan node {type(plan).__name__}")
     if ctx.recorder is None:
         return kernel(plan, ctx)
     return _metered(plan, ctx, kernel(plan, ctx))
@@ -234,7 +172,7 @@ def _node_batches(plan: Plan, ctx: ExecContext) -> Iterator[Batch]:
 def _metered(
     plan: Plan, ctx: ExecContext, batches: Iterator[Batch]
 ) -> Iterator[Batch]:
-    """Meter a kernel's batches into the node's span (mirrors wrap())."""
+    """Meter a kernel's batches into the node's span (rows, batches, time)."""
     span = ctx.recorder.span_of(plan)  # type: ignore[union-attr]
     if span is None:
         return batches
@@ -260,24 +198,8 @@ def _metered(
             attrs["rows_per_batch"] = (
                 round(attrs["rows_out"] / total_batches, 1) if total_batches else 0
             )
-            attrs["executor"] = "batch"
 
     return generate()
-
-
-def _fallback_batches(plan: Plan, ctx: ExecContext) -> Iterator[Batch]:
-    """Row-wise subtree inside a batch pipeline: stream, then pack.
-
-    ``plan.stream`` meters the subtree's spans exactly as on the row path,
-    so the fallback boundary stays visible in ``explain_analyze``.
-    """
-    columns = ctx.columns(plan)
-    rows = plan.stream(ctx)
-    while True:
-        chunk = list(islice(rows, BATCH_SIZE))
-        if not chunk:
-            return
-        yield Batch.from_rows(columns, chunk)
 
 
 def _gather(batch: Batch, name: str) -> list[object]:
@@ -383,6 +305,96 @@ def _partition_scan_batches(plan: PartitionScan, ctx: ExecContext) -> Iterator[B
         )
 
 
+def _index_lookup_positions(plan: IndexLookup, ctx: ExecContext, table) -> list[int]:
+    """Matched row positions, in index-bucket order."""
+    items = plan.items
+    index = table.matching_index([column for column, _ in items])
+    if index is None:
+        ctx.annotate(plan, access_path="scan_fallback")
+        return [
+            position
+            for position, row in enumerate(table.iter_rows())
+            if all(sql_equal(row.get(column), value) for column, value in items)
+        ]
+    values = dict(items)
+    positions = index.lookup(tuple(values[column] for column in index.columns))
+    ctx.annotate(
+        plan,
+        access_path="index",
+        index_columns=",".join(index.columns),
+        bucket_rows=len(positions),
+    )
+    # Bucket rows are Python-equal to the probe on the indexed columns,
+    # and table extents are coerced to their declared types on write.
+    # SQL equality then only disagrees with bucket membership for a NULL
+    # probe (never equal) or when the probe value's bool-ness differs from
+    # the column's (TRUE vs 1), so every other indexed item needs no
+    # per-row re-check.
+    covered = set(index.columns)
+    residual = tuple(
+        (column, value)
+        for column, value in items
+        if column not in covered
+        or value is None
+        or isinstance(value, bool)
+        != (table.schema.column(column).dtype is DataType.BOOLEAN)
+    )
+    if not residual:
+        return positions
+    return [
+        position
+        for position, row in zip(positions, table.rows_at(positions))
+        if all(sql_equal(row.get(column), value) for column, value in residual)
+    ]
+
+
+def _in_lookup_positions(plan: InLookup, ctx: ExecContext, table) -> list[int]:
+    """Matched row positions, ascending (extent order)."""
+    index = table.matching_index([plan.column])
+    if index is None:
+        ctx.annotate(plan, access_path="scan_fallback")
+        column, values = plan.column, plan.values
+        return [
+            position
+            for position, row in enumerate(table.iter_rows())
+            if any(sql_equal(row.get(column), value) for value in values)
+        ]
+    # Bucket keys hash/compare Python-style; SQL equality only diverges
+    # on bool-vs-non-bool probes (TRUE vs 1), so those are skipped, and
+    # NULL probes never match.  Everything else needs no re-check
+    # because extents are coerced to their declared type on write.
+    boolish = table.schema.column(plan.column).dtype is DataType.BOOLEAN
+    matched: set[int] = set()
+    for value in plan.values:
+        if value is None or isinstance(value, bool) != boolish:
+            continue
+        matched.update(index.lookup((value,)))
+    ctx.annotate(
+        plan,
+        access_path="index",
+        probe_values=len(plan.values),
+        bucket_rows=len(matched),
+    )
+    return sorted(matched)
+
+
+#: Index probes: node type → its matched-positions function.
+_PROBES: dict[type, Callable[..., list[int]]] = {
+    IndexLookup: _index_lookup_positions,
+    InLookup: _in_lookup_positions,
+}
+
+
+def _probe_batches(plan: IndexLookup | InLookup, ctx: ExecContext) -> Iterator[Batch]:
+    """The probed rows, gathered column-wise a batch at a time."""
+    table = ctx.db.table(plan.table)
+    positions = _PROBES[type(plan)](plan, ctx, table)
+    names = table.schema.column_names
+    for start in range(0, len(positions), BATCH_SIZE):
+        chunk = positions[start : start + BATCH_SIZE]
+        yield Batch(names, table.columns_at(chunk), len(chunk))
+
+
 def _values_batches(plan: Values, ctx: ExecContext) -> Iterator[Batch]:
     columns = plan.columns
     rows = plan.rows
@@ -397,32 +409,68 @@ def _values_batches(plan: Values, ctx: ExecContext) -> Iterator[Batch]:
         yield Batch(columns, data, len(chunk))
 
 
+class _LoweredSelect:
+    """A Select node's predicate, lowered once and reused by every execution.
+
+    Holds the batch closure, the zone-map analysis (None when no conjunct
+    is probeable), and the residual conjunctions compiled per kept
+    conjunct set.  All three depend on the predicate alone; the zone maps
+    the analysis consults are cached per table version by the statistics
+    layer.
+    """
+
+    __slots__ = ("value_of", "analysis", "residuals")
+
+    def __init__(self, predicate: Expression):
+        self.value_of = compile_batch_expression(predicate)
+        analysis = SelectAnalysis(predicate)
+        self.analysis = analysis if analysis.analyzable else None
+        self.residuals: dict[tuple[int, ...], BatchExpression] = {
+            tuple(range(len(analysis.conjuncts))): self.value_of
+        }
+
+    def residual(self, kept_ids: tuple[int, ...]) -> BatchExpression:
+        """The conjunction of the kept conjuncts, compiled once."""
+        fn = self.residuals.get(kept_ids)
+        if fn is None:
+            conjuncts = self.analysis.conjuncts  # type: ignore[union-attr]
+            fn = compile_batch_expression(conjunction([conjuncts[i] for i in kept_ids]))
+            self.residuals[kept_ids] = fn
+        return fn
+
+
+def _lowered_select(plan: Select) -> _LoweredSelect:
+    """The node's lowering, memoized on the node itself.
+
+    Plans are immutable and cached plans are reused across executions, so
+    the lowering lives exactly as long as the plan that owns it.
+    """
+    lowered = plan.__dict__.get("_lowered")
+    if lowered is None:
+        lowered = _LoweredSelect(plan.predicate)
+        object.__setattr__(plan, "_lowered", lowered)
+    return lowered
+
+
 def _select_batches(plan: Select, ctx: ExecContext) -> Iterator[Batch]:
-    value_of = compile_batch_expression(plan.predicate)
-    analysis: SelectAnalysis | None = None
-    if statistics_enabled():
-        candidate = SelectAnalysis(plan.predicate)
-        if candidate.analyzable:
-            analysis = candidate
-    if analysis is None:
-        for batch in _node_batches(plan.child, ctx):
-            values = value_of(batch)
-            kept = [i for i, value in enumerate(values) if value is True]
-            if not kept:
-                continue
-            if len(kept) == batch.length:
-                yield batch
-            else:
-                yield batch.take(kept)
+    lowered = _lowered_select(plan)
+    if lowered.analysis is not None and statistics_enabled():
+        yield from _select_batches_analyzed(plan, ctx, lowered)
         return
-    yield from _select_batches_analyzed(plan, ctx, value_of, analysis)
+    value_of = lowered.value_of
+    for batch in _node_batches(plan.child, ctx):
+        values = value_of(batch)
+        kept = [i for i, value in enumerate(values) if value is True]
+        if not kept:
+            continue
+        if len(kept) == batch.length:
+            yield batch
+        else:
+            yield batch.take(kept)
 
 
 def _select_batches_analyzed(
-    plan: Select,
-    ctx: ExecContext,
-    value_of: BatchExpression,
-    analysis: SelectAnalysis,
+    plan: Select, ctx: ExecContext, lowered: _LoweredSelect
 ) -> Iterator[Batch]:
     """Select with the zone-map trichotomy per zone-tagged chunk.
 
@@ -433,9 +481,9 @@ def _select_batches_analyzed(
     done when the probe proves it True for every row without evaluation
     errors, so 3VL results and error behaviour are unchanged.
     """
-    conjuncts = analysis.conjuncts
-    full = tuple(range(len(conjuncts)))
-    compiled: dict[tuple[int, ...], BatchExpression] = {full: value_of}
+    analysis = lowered.analysis
+    assert analysis is not None
+    value_of = lowered.value_of
     chunks_total = 0
     chunks_skipped = 0
     short_circuited = 0
@@ -456,13 +504,7 @@ def _select_batches_analyzed(
                     # Every conjunct holds for every row of the chunk.
                     yield batch
                     continue
-                fn = compiled.get(kept_ids)
-                if fn is None:
-                    fn = compile_batch_expression(
-                        conjunction([conjuncts[i] for i in kept_ids])
-                    )
-                    compiled[kept_ids] = fn
-                values = fn(batch)
+                values = lowered.residual(kept_ids)(batch)
             kept = [i for i, value in enumerate(values) if value is True]
             if not kept:
                 continue
@@ -996,9 +1038,9 @@ class GroupedAggregation:
 
     Holds per-group ``[row_count, values-per-spec...]`` states; values
     lists feed the shared ``_aggregate_values`` finalizer, so results match
-    the row paths exactly (including ``sum()`` over the same value
+    the interpreter exactly (including ``sum()`` over the same value
     sequence).  The kernel consumes every batch into one instance, in
-    stream order, so first-seen group order matches the row paths.
+    input order, so first-seen group order matches the interpreter.
     """
 
     __slots__ = (
@@ -1048,7 +1090,7 @@ class GroupedAggregation:
                     # Count-only aggregates: one C-level Counter pass over
                     # the codes replaces the per-row Python loop.  Counter
                     # (a dict) yields codes in first-occurrence order, so
-                    # group creation order still matches the row-at-a-time
+                    # group creation order still matches the interpreter's
                     # first-seen order exactly.
                     for code, count in Counter(codes).items():
                         key = None if code is None else values[code]
@@ -1161,7 +1203,7 @@ class GroupedAggregation:
         for key in order:
             state = groups[key]
             # Per-row dict first, so an alias shadowing a group column (or a
-            # repeated alias) overwrites exactly as the row paths' dicts do.
+            # repeated alias) overwrites exactly as the interpreter's dicts do.
             row_values: dict[str, object] = dict(zip(group_by, representatives[key]))
             for j, (spec, func) in enumerate(specs):
                 if spec.column is None:
@@ -1179,8 +1221,8 @@ class GroupedAggregation:
 def aggregate_output_columns(plan: Aggregate, ctx: ExecContext) -> tuple[str, ...]:
     """The Aggregate result's column tuple, deduped to first occurrence.
 
-    An alias may repeat a group column (or another alias); the row paths
-    collapse those through dict assignment, so the batch result dedups the
+    An alias may repeat a group column (or another alias); the interpreter
+    collapses those through dict assignment, so the batch result dedups the
     column list and lets ``finalize`` reproduce the last-wins value.
     """
     return tuple(dict.fromkeys(ctx.columns(plan)))
@@ -1264,8 +1306,37 @@ def _limit_batches(plan: Limit, ctx: ExecContext) -> Iterator[Batch]:
             return
 
 
+def _unpivot_batches(plan: Unpivot, ctx: ExecContext) -> Iterator[Batch]:
+    """Wide → EAV: each input row fans out into one row per value column.
+
+    Output is row-major — an input row's (attribute, value) rows are
+    adjacent, in ``value_columns`` order — as in the interpreter.  A name
+    listed twice keeps its first position and its last value, like the
+    interpreter's dict assignments.
+    """
+    value_columns = plan.value_columns
+    width = len(value_columns)
+    columns = tuple(dict.fromkeys(ctx.columns(plan)))
+    for batch in _node_batches(plan.child, ctx):
+        if not width:
+            continue
+        data: dict[str, list[object]] = {}
+        for column in plan.id_columns:
+            data[column] = [
+                value for value in _gather(batch, column) for _ in range(width)
+            ]
+        attributes: list[object] = list(value_columns)
+        data[plan.attribute_column] = attributes * batch.length
+        if width == 1:
+            data[plan.value_column] = list(_gather(batch, value_columns[0]))
+        else:
+            cells = zip(*(_gather(batch, column) for column in value_columns))
+            data[plan.value_column] = [value for row in cells for value in row]
+        yield Batch(columns, data, batch.length * width)
+
+
 def _pivot_batches(plan: Pivot, ctx: ExecContext) -> Iterator[Batch]:
-    """EAV → wide in one pass, with the streaming fold's semantics.
+    """EAV → wide in one pass, with the interpreter's fold semantics.
 
     Keys group by plain dict equality in first-seen order, a duplicated
     (key, attribute) keeps its last value, and only ``str`` attribute
@@ -1351,7 +1422,7 @@ _COERCE_MEMO_LIMIT = 4096
 def _coerce_batches(plan: Coerce, ctx: ExecContext) -> Iterator[Batch]:
     """Coerce columns batch-wise, converting each distinct value once.
 
-    A failing batch raises the row path's error: the first bad value in
+    A failing batch raises the interpreter's error: the first bad value in
     row order, then in ``column_types`` order.  A conversion only has to be
     exact for rows before the earliest failure found so far, so a column
     listed twice may carry placeholders past it into its second pass.
@@ -1433,6 +1504,8 @@ def _coerce_column(
 
 _KERNELS: dict[type, Callable[..., Iterator[Batch]]] = {
     Scan: _scan_batches,
+    IndexLookup: _probe_batches,
+    InLookup: _probe_batches,
     PartitionScan: _partition_scan_batches,
     Values: _values_batches,
     Select: _select_batches,
@@ -1446,6 +1519,7 @@ _KERNELS: dict[type, Callable[..., Iterator[Batch]]] = {
     Sort: _sort_batches,
     TopK: _topk_batches,
     Limit: _limit_batches,
+    Unpivot: _unpivot_batches,
     Pivot: _pivot_batches,
     Coerce: _coerce_batches,
 }

@@ -147,3 +147,33 @@ class TestReportSummary:
         _, report, _, _ = run_study(cleaned_study, batch_size=32)
         assert all(run.seconds >= 0 for run in report.steps)
         assert any(run.seconds > 0 for run in report.steps)
+
+
+class TestExtractRowOwnership:
+    """A bare-Scan extract hands its chain rows the chain may mutate."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"batch_size": 7}])
+    def test_derive_after_scan_extract_leaves_the_table_unchanged(self, kwargs):
+        from repro.etl.components import DeriveColumn, Extract
+        from repro.etl.workflow import Workflow
+        from repro.relational import DataType, Scan, TableSchema
+
+        db = Database("src")
+        db.create_table(
+            TableSchema.build("t", [("id", DataType.INTEGER), ("v", DataType.INTEGER)])
+        )
+        db.insert("t", [{"id": i, "v": i * 3} for i in range(20)])
+        before = Scan("t").execute(db)
+        expected = [dict(row) for row in before]
+
+        workflow = Workflow("own")
+        workflow.add("extract", Extract(db, Scan("t")))
+        workflow.add("derive", DeriveColumn("w", "v + 1"), inputs=("extract",))
+        # Only the tail is an output, so the engine fuses both steps and
+        # the derive step writes into the extracted rows in place.
+        workflow.outputs = ["derive"]
+        outputs, _ = workflow.run(**kwargs)
+
+        assert [row["w"] for row in outputs["derive"]] == [i * 3 + 1 for i in range(20)]
+        assert Scan("t").execute(db) == expected
+        assert before == expected

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 
+from benchmarks import check_regression
 from benchmarks._payload import environment
 from benchmarks.check_regression import (
+    BENCHMARK_MODULES,
     DEFAULT_THRESHOLD,
     REQUIRED_CASES,
     compare,
@@ -14,6 +17,7 @@ from benchmarks.check_regression import (
     headline_metrics,
     merge_best,
     missing_required,
+    run_in_fresh_process,
 )
 
 # A synthetic benchmark name on purpose: it carries no REQUIRED_CASES, so
@@ -139,3 +143,39 @@ class TestPayloadProvenance:
     def test_environment_reports_cores(self):
         cores = environment()["cores"]
         assert isinstance(cores, int) and cores >= 1
+
+
+class TestProcessIsolation:
+    """Each benchmark run gets its own interpreter, so no cache leaks over."""
+
+    PROBE = (
+        "import os\n"
+        "CALLS = []\n"
+        "def run():\n"
+        "    CALLS.append(1)\n"
+        "    return [{'case': 'pid', 'ms': os.getpid()},\n"
+        "            {'case': 'calls', 'ms': len(CALLS)}]\n"
+    )
+
+    def test_each_run_is_a_fresh_process(self, tmp_path):
+        (tmp_path / "bench_probe.py").write_text(self.PROBE)
+        runs = [
+            headline_metrics({"results": run_in_fresh_process("bench_probe", str(tmp_path))})
+            for _ in range(2)
+        ]
+        pids = {run["pid"] for run in runs}
+        assert len(pids) == 2 and os.getpid() not in pids
+        # Module state starts empty every time: nothing survives a run.
+        assert [run["calls"] for run in runs] == [1, 1]
+
+    def test_every_gated_benchmark_runs_through_a_fresh_process(self, monkeypatch):
+        seen = []
+
+        def fake(module, directory=None):
+            seen.append(module)
+            return [{"case": "x", "ms": 1.0}]
+
+        monkeypatch.setattr(check_regression, "run_in_fresh_process", fake)
+        for name in ("relational_core", "etl_pipeline", "durability"):
+            assert check_regression._run_benchmark(name) == {"x": 1.0}
+        assert seen == [BENCHMARK_MODULES[name] for name in ("relational_core", "etl_pipeline", "durability")]

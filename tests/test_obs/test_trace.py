@@ -162,21 +162,11 @@ class TestTreeRecorder:
         assert root_span.name == "root"
         assert [c.name for c in root_span.children] == ["left", "right"]
 
-    def test_wrap_counts_rows_and_time(self):
-        root = self._tree()
-        parent, recorder = self._recorder(root)
-        out = list(recorder.wrap(root, iter([1, 2, 3]), setup_s=0.5))
-        assert out == [1, 2, 3]
-        root_span = recorder.span_of(root)
-        assert root_span.attrs["rows_out"] == 3
-        assert root_span.duration_s >= 0.5
-
-    def test_wrap_passes_through_unknown_nodes(self):
+    def test_unknown_nodes_have_no_span(self):
         root = self._tree()
         _, recorder = self._recorder(root)
-        stranger = self.Node("stranger")
-        iterator = iter([1])
-        assert recorder.wrap(stranger, iterator) is iterator
+        assert recorder.span_of(self.Node("stranger")) is None
+        recorder.annotate(self.Node("stranger"), access_path="index")
 
     def test_annotate_targets_the_right_span(self):
         root = self._tree()

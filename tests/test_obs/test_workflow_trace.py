@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.studies import STUDY1_ELEMENTS, build_cohort_study
 from repro.clinical import build_world
 from repro.etl import compile_study
+from repro.etl.components import Extract
 from repro.obs import tracing
 from repro.relational import Database
 from repro.warehouse import FullStrategy, MaterializationJob, Warehouse
@@ -30,9 +31,8 @@ class TestWorkflowTrace:
     def test_engine_trace_covers_every_step(self, small_world):
         workflow, report, tracer = run_traced(small_world, batch_size=64)
         assert report.trace is not None
-        # Units run in the calling thread, so the relational spans their
-        # extracts open come first; the workflow tree is attached last.
-        assert report.trace is tracer.roots[-1]
+        # One root: the relational spans the extracts open nest inside it.
+        assert tracer.roots == [report.trace]
         traced_steps = {
             s.name for s in report.trace.walk() if s.name.startswith("step:")
         }
@@ -65,11 +65,29 @@ class TestWorkflowTrace:
             assert unit.attrs["batches"] >= 1
             assert unit.children
             assert all(step.name.startswith("step:") for step in unit.children)
-            assert all(not step.children for step in unit.children)
+        # Each extract's planning and execution nest under its own step;
+        # no other step opens spans.
+        steps = {step.name: step for step in workflow.steps}
+        for unit in root.children:
+            for step_span in unit.children:
+                step = steps[step_span.name.removeprefix("step:")]
+                children = [child.name for child in step_span.children]
+                if isinstance(step.component, Extract):
+                    assert children[0] == "optimize"
+                    assert children[-1].startswith("execute:")
+                else:
+                    assert children == []
 
     def test_serial_trace_covers_every_step(self, small_world):
-        workflow, report, _ = run_traced(small_world)
+        workflow, report, tracer = run_traced(small_world)
+        assert tracer.roots == [report.trace]
         assert report.trace.attrs["mode"] == "serial"
+        for step_span in report.trace.children:
+            step = workflow.step(step_span.name.removeprefix("step:"))
+            if isinstance(step.component, Extract):
+                assert [c.name for c in step_span.children] == [
+                    f"execute:{type(step.component.plan).__name__}"
+                ]
         traced_steps = {
             s.name for s in report.trace.walk() if s.name.startswith("step:")
         }

@@ -4,9 +4,9 @@ Python's ``True == 1`` / ``hash(True) == hash(1)`` would silently merge a
 BOOLEAN ``TRUE`` with an INTEGER ``1`` anywhere values become dict keys —
 group-by, DISTINCT, COUNT_DISTINCT, hash-join build sides — even though
 ``sql_equal`` (and therefore every ``=`` predicate) distinguishes them.
-All three executors route keys through :func:`canonical_key`, and these
-tests pin that shared behaviour so a future "optimization" reintroducing
-raw-value keys in any one executor fails loudly.
+Both executors route keys through :func:`canonical_key`, and these tests
+pin that shared behaviour so a future "optimization" reintroducing
+raw-value keys in either executor fails loudly.
 
 Table columns coerce on insert (``True`` stored into INTEGER becomes
 ``1``), so the mixed-type relations here are built from ``Values`` nodes,
@@ -24,7 +24,6 @@ from repro.relational import (
     Rename,
     Sort,
     Values,
-    Vectorized,
     canonical_key,
     execute_interpreted,
 )
@@ -37,11 +36,7 @@ def _mixed(column="k"):
 
 def _all_executors(plan, db=None):
     db = db or Database("keys")
-    return [
-        execute_interpreted(plan, db),
-        plan.execute(db),
-        Vectorized(plan).execute(db),
-    ]
+    return [execute_interpreted(plan, db), plan.execute(db)]
 
 
 class TestCanonicalKeyFunction:

@@ -2,8 +2,9 @@
 
 The three cost-based decisions (hash-join build side, join-chain order,
 Select conjunct order) must be *bit-identical* to the interpreted oracle
-in rows AND row order across the streaming and vectorized batch
-executors — including NULL-heavy columns and skewed join keys.  Error parity is exact for the reorders (a pinned case proves an
+in rows AND row order, with the batch executor running both the
+authored and the optimized plan — including NULL-heavy columns and
+skewed join keys.  Error parity is exact for the reorders (a pinned case proves an
 error-raising conjunct is never hoisted past the conjunct that would
 have short-circuited it), and the plan cache must never serve a plan
 costed under one statistics/costing regime to the other.
@@ -20,7 +21,6 @@ from repro.relational import (
     DataType,
     Query,
     TableSchema,
-    Vectorized,
     costing_enabled,
     execute_interpreted,
     set_costing_enabled,
@@ -92,12 +92,12 @@ def _outcome(fn):
 
 
 def _assert_three_way(db, plan) -> None:
-    """Interpreted oracle vs streaming vs batch, rows AND order."""
+    """Interpreted oracle vs authored batch vs optimized batch, rows AND order."""
     reference = _outcome(lambda: execute_interpreted(plan, db))
     optimized = optimize(plan, db)
-    streaming = _outcome(lambda: optimize(plan, db, vectorize=False).execute(db))
+    authored = _outcome(lambda: plan.execute(db))
     batch = _outcome(lambda: optimized.execute(db))
-    assert streaming == reference
+    assert authored == reference
     assert batch == reference
 
 

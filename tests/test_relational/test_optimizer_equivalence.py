@@ -1,6 +1,6 @@
-"""Optimized ≡ naive-streaming ≡ interpreted execution, row for row.
+"""Optimized ≡ naive ≡ interpreted execution, row for row.
 
-The tentpole guarantee of the streaming/compiled/index-aware executor:
+The tentpole guarantee of the compiled/index-aware batch executor:
 ``Query.execute(db, optimized=True)`` must agree with ``optimized=False``
 and with the reference interpreter (`execute_interpreted`, the seed
 semantics preserved as an executable spec) on every database — including
@@ -94,7 +94,7 @@ def _load(patients, visits) -> Database:
 
 
 def _assert_all_paths_agree(plan, db) -> None:
-    """Interpreted (spec), streaming (naive), and optimized must be identical."""
+    """Interpreted (spec), naive batch, and optimized batch must be identical."""
     reference = execute_interpreted(plan, db)
     assert plan.execute(db) == reference
     assert optimize(plan, db).execute(db) == reference
@@ -372,8 +372,8 @@ class TestInListAccessPaths:
 
     def test_prepare_stream_plan_builds_index_above_existing_lookup(self):
         # With only the name index present, the first optimize leaves the
-        # membership select above an IndexLookup; preparing for streaming
-        # must still build the single-column index and re-plan onto it.
+        # membership select above an IndexLookup; preparing for repeated
+        # execution must still build the single-column index and re-plan onto it.
         db = self._db()
         table = db.table("patients")
         assert table.matching_index(["age"]) is None

@@ -1,11 +1,12 @@
-"""Partitioned tables: interpreted ≡ streaming ≡ serial batch, randomized.
+"""Partitioned tables: interpreted ≡ authored batch ≡ optimized batch.
 
-Every executor must return bit-identical rows (values *and* order)
+The batch executor must return bit-identical rows (values *and* order)
 against the reference interpreter for any partitioning scheme on the
-underlying tables — including NULL partition keys, operators with no
-batch kernel (forced row-wise fallback inside the tree), pruned
-``PartitionScan`` leaves, and order-sensitive operators (Aggregate group
-order, AVG summation order, left-join NULL padding).
+underlying tables, on the authored plan and on its optimized (pruned,
+cost-planned) form — including NULL partition keys, EAV round trips
+through the Unpivot and Pivot kernels, pruned ``PartitionScan`` leaves,
+and order-sensitive operators (Aggregate group order, AVG summation
+order, left-join NULL padding).
 
 Shrunken batches: the suite patches ``BATCH_SIZE`` down so even 30-row
 hypothesis examples split across several batches and exercise the
@@ -35,7 +36,6 @@ from repro.relational import (
     TopK,
     Union,
     Unpivot,
-    Vectorized,
     execute_interpreted,
     optimize,
 )
@@ -104,15 +104,15 @@ def _outcome(fn):
 
 
 def _assert_executors_agree(plan, db) -> None:
-    """Interpreter, streaming, and serial batch execution agree."""
+    """Interpreter, authored batch, and optimized batch execution agree."""
     reference = _outcome(lambda: execute_interpreted(plan, db))
-    streaming = _outcome(lambda: plan.execute(db))
-    batch = _outcome(lambda: Vectorized(plan).execute(db))
+    authored = _outcome(lambda: plan.execute(db))
+    optimized = _outcome(lambda: optimize(plan, db).execute(db))
     if reference[0] == "err":
-        assert streaming[0] == batch[0] == "err"
+        assert authored[0] == optimized[0] == "err"
     else:
-        assert streaming == reference
-        assert batch == reference
+        assert authored == reference
+        assert optimized == reference
 
 
 class _tiny_batches:
@@ -203,9 +203,9 @@ def test_random_schemes_three_way(patients, visits, scheme_i, plan_i):
 @given(_patient_rows)
 @settings(max_examples=40, deadline=None)
 def test_forced_rowwise_fallback_in_batch_tree(patients):
-    # Unpivot has no batch kernel, so the batch executor runs it row-wise
-    # under the Pivot kernel and re-packs at the boundary; it must still
-    # agree.
+    # An EAV round trip over a partitioned table: the Unpivot kernel fans
+    # each wide row out across tiny batches and the Pivot kernel folds
+    # them back; it must agree with the interpreter.
     unique = list({row["patient_id"]: row for row in patients}.values())
     db = _load(unique, [], HashPartitioning("patient_id", 3))
     unpivoted = Unpivot(
@@ -233,8 +233,8 @@ def test_pruned_partition_scan(patients, visits):
     db = _load(patients, visits, HashPartitioning("patient_id", 4))
     plan = Select(Scan("patients"), parse("patient_id = 7"))
     reference = execute_interpreted(plan, db)
-    pruned = optimize(plan, db, vectorize=False)
+    pruned = optimize(plan, db)
     assert "PartitionScan" in repr(pruned)
     with _tiny_batches():
         assert pruned.execute(db) == reference
-        assert Vectorized(pruned).execute(db) == reference
+        assert plan.execute(db) == reference

@@ -23,7 +23,6 @@ from repro.relational import (
     Plan,
     Query,
     TableSchema,
-    Vectorized,
     optimize,
     plan_fingerprint,
 )
@@ -105,17 +104,6 @@ class TestCacheHits:
         assert cached.optimize_span.attrs.get("plan_cache") == "hit"
         assert cached.rewrites_applied() == {}
         assert cached.rows == warm.rows
-
-    def test_vectorize_flag_is_part_of_the_key(self):
-        db = _db(600)
-        plan = Query.table("patients").where("age >= 21").plan
-        batch = optimize(plan, db, vectorize=True)
-        row = optimize(plan, db, vectorize=False)
-        assert _contains(batch, Vectorized)
-        assert not _contains(row, Vectorized)
-        # Both entries coexist: asking again returns each cached object.
-        assert optimize(plan, db, vectorize=True) is batch
-        assert optimize(plan, db, vectorize=False) is row
 
     def test_no_database_means_no_cache(self):
         plan = Query.table("patients").where("age >= 30").plan

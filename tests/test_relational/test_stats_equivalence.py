@@ -2,7 +2,7 @@
 
 The statistics layer is pure acceleration: with it on, the batch executor
 must still produce bit-identical rows (values *and* order) to the
-interpreted oracle and the streaming executor — including NULL-heavy
+interpreted oracle and to itself with statistics off — including NULL-heavy
 columns, predicates that straddle chunk boundaries, mixed-type columns
 that force encoding refusal, and mutations between queries that make the
 cached statistics stale.  Error parity follows the repo-wide relaxation:
@@ -24,7 +24,6 @@ from repro.relational import (
     HashPartitioning,
     Query,
     TableSchema,
-    Vectorized,
     encoding_states,
     execute_interpreted,
     set_statistics_enabled,
@@ -76,15 +75,20 @@ def _outcome(fn):
 
 
 def _assert_three_way(db, predicate) -> None:
+    """Interpreted oracle vs batch with statistics on and off."""
     plan = Query.table("readings").where(predicate).plan
     reference = _outcome(lambda: execute_interpreted(plan, db))
-    streaming = _outcome(lambda: plan.execute(db))
-    batch = _outcome(lambda: Vectorized(plan).execute(db))
-    assert streaming == reference
+    batch = _outcome(lambda: plan.execute(db))
+    previous = set_statistics_enabled(False)
+    try:
+        plain = _outcome(lambda: plan.execute(db))
+    finally:
+        set_statistics_enabled(previous)
     if reference[0] == "err":
-        assert batch[0] == "err"
+        assert batch[0] == plain[0] == "err"
     else:
         assert batch == reference
+        assert plain == reference
 
 
 # -- randomized predicates over a shared read-only database --------------------
@@ -190,7 +194,7 @@ def test_skipped_chunks_elide_doomed_conjunct_errors():
     plan = Query.table("readings").where(parse("vendor < 5 AND seq < 0")).plan
     with pytest.raises(ReproError):
         execute_interpreted(plan, db)
-    assert Vectorized(plan).execute(db) == []
+    assert plan.execute(db) == []
 
 
 def test_mixed_type_column_forces_refusal_and_stays_equivalent():
@@ -211,7 +215,7 @@ def test_mutation_between_queries_rebuilds_statistics():
     table = db.table("readings")
     predicate = parse(f"seq >= {ROWS}")
     plan = Query.table("readings").where(predicate).plan
-    assert Vectorized(plan).execute(db) == []
+    assert plan.execute(db) == []
     stale_zone = S.column_zone_map(table, "seq")
     stale_states = encoding_states(table)
     # Rows beyond the old max arrive; the cached zone map would skip them.
@@ -224,7 +228,7 @@ def test_mutation_between_queries_rebuilds_statistics():
     )
     assert S.column_zone_map(table, "seq") is not stale_zone
     assert encoding_states(table) is not stale_states
-    rows = Vectorized(plan).execute(db)
+    rows = plan.execute(db)
     assert len(rows) == 50
     assert rows == execute_interpreted(plan, db)
     vendor_dictionary = encoding_states(table)["vendor"]
@@ -239,10 +243,10 @@ def test_statistics_toggle_leaves_results_unchanged():
     ).plan
     previous = set_statistics_enabled(False)
     try:
-        baseline = Vectorized(plan).execute(db)
+        baseline = plan.execute(db)
     finally:
         set_statistics_enabled(previous)
-    assert Vectorized(plan).execute(db) == baseline
+    assert plan.execute(db) == baseline
     assert baseline == execute_interpreted(plan, db)
 
 
@@ -251,7 +255,7 @@ def test_gauges_reported_in_explain_analyze():
     plan = Query.table("readings").where(
         parse(f"seq >= {BATCH_SIZE} AND seq < {BATCH_SIZE + 10}")
     ).plan
-    report = explain_analyze(plan, db, executor="batch")
+    report = explain_analyze(plan, db)
     rendered = report.render()
     assert "chunks_skipped=3" in rendered
     assert "chunks_total=4" in rendered
@@ -283,14 +287,14 @@ def test_aggregate_distinct_join_on_dictionary_codes():
         )
         .plan
     )
-    assert Vectorized(group).execute(db) == execute_interpreted(group, db)
+    assert group.execute(db) == execute_interpreted(group, db)
 
     distinct = Query.table("readings").select("vendor").distinct().plan
-    assert Vectorized(distinct).execute(db) == execute_interpreted(distinct, db)
+    assert distinct.execute(db) == execute_interpreted(distinct, db)
 
     join = (
         Query.table("readings")
         .join(Query.table("vendors"), on=(("vendor", "vendor"),))
         .plan
     )
-    assert Vectorized(join).execute(db) == execute_interpreted(join, db)
+    assert join.execute(db) == execute_interpreted(join, db)

@@ -1,9 +1,16 @@
-"""Streaming executor contracts: laziness and the defensive-copy boundary."""
+"""Executor contracts: the copy boundary, batch-granular early stop, memo.
 
-from dataclasses import dataclass, field
+The batch executor pipelines batches from node to node, so a ``Limit``
+stops pulling from its child after the batch that satisfies it; the span
+tree of a traced run counts what each node produced.
+"""
+
+from dataclasses import dataclass
 
 from repro.expr.ast import BinaryOp, Identifier, Literal
+from repro.obs import explain_analyze
 from repro.relational import (
+    BATCH_SIZE,
     Database,
     DataType,
     IndexLookup,
@@ -28,23 +35,11 @@ def _db(n: int = 10) -> Database:
     return db
 
 
-@dataclass(frozen=True, eq=False)
-class CountingScan(Plan):
-    """Scan that records how many rows were actually pulled from it."""
-
-    table: str
-    pulled: list = field(default_factory=list, compare=False)
-
-    def stream(self, ctx):
-        for row in ctx.db.table(self.table).iter_rows():
-            self.pulled.append(row)
-            yield row
-
-    def shares_storage(self) -> bool:
-        return True
-
-    def _columns(self, ctx):
-        return ctx.db.table(self.table).schema.column_names
+def _scan_span(plan, db):
+    """The Scan node's span from one traced, unoptimized execution."""
+    report = explain_analyze(plan, db, optimized=False)
+    (span,) = [span for node, span in report.node_spans() if isinstance(node, Scan)]
+    return report.rows, span
 
 
 class TestCopyBoundary:
@@ -59,6 +54,8 @@ class TestCopyBoundary:
         assert [dict(r) for r in db.table("t").rows()] == before
 
     def test_scan_results_detached(self):
+        # A bare Scan returns the read-only snapshot rows, never the
+        # table's storage: even a mutating caller cannot reach the extent.
         self._assert_result_is_detached(Scan("t"), _db())
 
     def test_select_over_scan_detached(self):
@@ -75,47 +72,41 @@ class TestCopyBoundary:
         self._assert_result_is_detached(Limit(Scan("t"), 4), _db())
 
     def test_project_builds_fresh_rows(self):
-        # Project constructs new dicts, so it does not share storage …
-        plan = Project(Scan("t"), ("id",))
-        assert not plan.shares_storage()
-        # … and the result is still safely mutable.
-        self._assert_result_is_detached(plan, _db())
+        db = _db()
+        snapshot = db.table("t").snapshot_rows()
+        rows = Project(Scan("t"), ("id", "v")).execute(db)
+        assert rows == snapshot
+        assert all(row is not shared for row, shared in zip(rows, snapshot))
+        self._assert_result_is_detached(Project(Scan("t"), ("id",)), db)
 
 
 class TestLaziness:
     def test_limit_stops_pulling_from_child(self):
-        db = _db(100)
-        source = CountingScan("t")
-        rows = Limit(source, 5).execute(db)
+        db = _db(3 * BATCH_SIZE)
+        rows, scan = _scan_span(Limit(Scan("t"), 5), db)
         assert len(rows) == 5
-        assert len(source.pulled) == 5
+        # One batch was pulled from the scan, not all three.
+        assert scan.attrs["batches"] == 1
+        assert scan.attrs["rows_out"] == BATCH_SIZE
 
     def test_limit_zero_pulls_nothing(self):
         db = _db(100)
-        source = CountingScan("t")
-        assert Limit(source, 0).execute(db) == []
-        assert source.pulled == []
+        rows, scan = _scan_span(Limit(Scan("t"), 0), db)
+        assert rows == []
+        assert scan.attrs.get("rows_out", 0) == 0
 
     def test_select_streams_through_limit(self):
-        # Limit(Select(Scan)) stops as soon as enough rows pass the filter.
-        db = _db(100)
-        source = CountingScan("t")
+        # Limit(Select(Scan)) stops after the batch in which enough rows
+        # pass the filter.
+        db = _db(3 * BATCH_SIZE)
         predicate = BinaryOp(">=", Identifier.of("id"), Literal(10))
-        rows = Limit(Select(source, predicate), 3).execute(db)
+        rows, scan = _scan_span(Limit(Select(Scan("t"), predicate), 3), db)
         assert [row["id"] for row in rows] == [10, 11, 12]
-        assert len(source.pulled) == 13  # 0..12 examined, not all 100
+        assert scan.attrs["batches"] == 1
 
     def test_negative_limit_keeps_slice_semantics(self):
         db = _db(10)
         assert [r["id"] for r in Limit(Scan("t"), -3).execute(db)] == list(range(7))
-
-    def test_stream_is_an_iterator(self):
-        db = _db(5)
-        stream = Select(
-            Scan("t"), BinaryOp(">", Identifier.of("id"), Literal(1))
-        ).stream(ExecContext(db))
-        assert iter(stream) is stream
-        assert next(stream)["id"] == 2
 
 
 class TestExecContextMemo:
